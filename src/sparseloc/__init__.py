@@ -12,12 +12,11 @@ from .layers import (BatchNorm, SparseConv, relu, sparse_add, sparse_conv,
 from .model import (Descriptor, MinkFPN, MinkLoc, ModelConfig, batch_tensor,
                     compute_descriptor, gem_pool, load_checkpoint, mac_pool,
                     save_checkpoint)
-from .sparse import (KernelMap, PointCloud, SparseTensor, VoxelCoord,
-                     build_kernel_map, downsample_coords, kernel_offsets,
-                     quantize)
+from .sparse import (KernelMap, PointCloud, SparseTensor, build_kernel_map,
+                     downsample_coords, kernel_offsets, quantize)
 from .train import (Adam, AugmentConfig, SimilarityMasks, TrainingConfig,
-                    augment, batch_hard_mine, build_batch, compute_masks,
-                    dynamic_batch_expand, mined_triplet_loss, partition_epoch,
-                    train, triplet_margin_loss)
+                    augment, batch_hard_mine, compute_masks,
+                    dynamic_batch_expand, mined_triplet_loss,
+                    partition_epoch, train, triplet_margin_loss)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -177,6 +177,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_query(args) -> int:
+    if args.k < 1:
+        print(f"error: -k must be >= 1, got {args.k}", file=sys.stderr)
+        return EXIT_USAGE
     _, mcfg, _, _ = resolve_configs(args)
     model = _load_model(args.checkpoint, mcfg, args.seed)
     db = ev.load_database(args.db)
@@ -220,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="flat key=value config file")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker cap (single-threaded numpy path)")
         sp.add_argument("--descriptor-dim", dest="descriptor_dim", type=int)
         sp.add_argument("--pooling", choices=("gem", "mac"))
 

@@ -50,6 +50,8 @@ def knn(db: DescriptorDatabase, query: np.ndarray, k: int):
     """
     if len(db) == 0:
         raise EmptyInput("empty descriptor database")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if k > len(db):
         raise ValueError(f"k={k} exceeds database size {len(db)}")
     q = np.asarray(query, dtype=np.float64).reshape(-1)

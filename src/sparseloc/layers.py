@@ -93,44 +93,32 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
 
 def sparse_transposed_conv(x: SparseTensor, weight: Var, kernel_size: int = 2,
                            stride: int = 2, tape: Tape | None = None) -> SparseTensor:
-    """Upsampling convolution: scatters each input voxel to coord + d * out_stride.
+    """Upsampling convolution: each input voxel expands to coord + d * out_stride.
 
     Output stride is input stride / stride; the adjoint of ``sparse_conv``
-    with the per-offset weight matrices transposed.
+    with the per-offset weight matrices transposed.  Only ``kernel_size ==
+    stride`` is supported: every input voxel then owns its K^3 children, so
+    output row ``i * K^3 + k`` is input row ``i`` shifted by offset ``k`` and
+    the rows are distinct without any scatter or lookup table.
     """
     w = weight.value
     n_off, c_in, c_out = w.shape
+    if kernel_size != stride:
+        raise ShapeError(f"transposed conv needs kernel_size == stride, "
+                         f"got {kernel_size} and {stride}")
     if n_off != len(kernel_offsets(kernel_size)):
         raise ShapeError("weight offset count does not match kernel size")
     _check_channels(x, c_in)
     if x.stride % stride:
         raise StrideError(f"stride {x.stride} not divisible by {stride}")
     out_stride = x.stride // stride
-    cached = x._geom.kmaps.get(("tconv", kernel_size, stride))
-    if cached is None:
-        offsets = kernel_offsets(kernel_size)
-        in_keys = x.keys()
-        shifted_keys = [in_keys + offset_key_delta(off, out_stride)
-                        for off in offsets]
-        all_keys = np.concatenate(shifted_keys)
-        _, first = np.unique(all_keys, return_index=True)
-        out_keys = all_keys[np.sort(first)]
-        out_coords = unpack_keys(out_keys)
-        # out row per (offset, input) pair via sorted-key lookup
-        order = np.argsort(out_keys, kind="stable")
-        skeys = out_keys[order]
-        scatter = [order[np.searchsorted(skeys, block)]
-                   for block in shifted_keys]
-        cached = (out_coords, scatter)
-        x._geom.kmaps[("tconv", kernel_size, stride)] = cached
-    out_coords, scatter = cached
+    deltas = np.array([offset_key_delta(off, out_stride)
+                       for off in kernel_offsets(kernel_size)])
+    out_coords = unpack_keys((x.keys()[:, None] + deltas).reshape(-1))
     f = x.features
-    out = np.zeros((len(out_coords), c_out))
-    # one GEMM for all offsets, then per-offset scatters of its column blocks
-    stacked = f @ w.transpose(1, 0, 2).reshape(c_in, n_off * c_out)
-    for k, ro in enumerate(scatter):
-        out[ro] += stacked[:, k * c_out:(k + 1) * c_out]
-    yvar = Var(out)
+    # (c_in, K^3 * c_out): one GEMM yields every child of an input row
+    wbig = w.transpose(1, 0, 2).reshape(c_in, n_off * c_out)
+    yvar = Var((f @ wbig).reshape(-1, c_out))
     if tape is not None:
         xvar = x.fvar
 
@@ -138,10 +126,9 @@ def sparse_transposed_conv(x: SparseTensor, weight: Var, kernel_size: int = 2,
             g = yvar.grad
             if g is None:
                 return
-            gathered = np.concatenate([g[ro] for ro in scatter], axis=1)
-            wbig = w.transpose(1, 0, 2).reshape(c_in, n_off * c_out)
-            xvar.add_grad(gathered @ wbig.T)
-            gw = (f.T @ gathered).reshape(c_in, n_off, c_out)
+            g = g.reshape(len(f), n_off * c_out)
+            xvar.add_grad(g @ wbig.T)
+            gw = (f.T @ g).reshape(c_in, n_off, c_out)
             weight.add_grad(gw.transpose(1, 0, 2))
 
         tape.record(backward)

@@ -184,6 +184,28 @@ class _ConvBlock:
         return sparse_add(y, x, tape)
 
 
+def _compose(lateral: Var, tconv: Var, tape: Tape | None) -> Var:
+    """Per-offset product W_k = W_l . W_t,k of a 1x1 conv and a transposed conv.
+
+    The fused gradient splits exactly into the two factors:
+    gW_l = sum_k gF_k . W_t,k^T and gW_t,k = W_l^T . gF_k.
+    """
+    wl = lateral.value[0]                     # (c_in, d)
+    wt = tconv.value                          # (n_off, d, d)
+    fused = Var(wl @ wt)                      # (n_off, c_in, d)
+    if tape is not None:
+
+        def backward():
+            g = fused.grad
+            if g is None:
+                return
+            lateral.add_grad(np.tensordot(g, wt, axes=([0, 2], [0, 2]))[None])
+            tconv.add_grad(wl.T @ g)
+
+        tape.record(backward)
+    return fused
+
+
 class MinkFPN:
     """Local feature extraction: bottom-up pyramid with one top-down fusion."""
 
@@ -207,15 +229,11 @@ class MinkFPN:
         x1 = self.block1(x, tape, train)      # stride 2
         x2 = self.block2(x1, tape, train)     # stride 4
         x3 = self.block3(x2, tape, train)     # stride 8
-        if tape is None:
-            # eval: the 1x1 lateral and the transposed conv are adjacent
-            # linear maps, so collapse them into one low-rank upsampling conv
-            wl = self.lateral3.weight.value[0]          # (c3, d)
-            wt = self.tconv3.weight.value               # (n_off, d, d)
-            fused = Var(wl @ wt)                        # (n_off, c3, d)
-            top = sparse_transposed_conv(x3, fused, kernel_size=2, stride=2)
-        else:
-            top = self.tconv3(self.lateral3(x3, tape), tape)   # back to stride 4
+        # the 1x1 lateral and the transposed conv are adjacent linear maps,
+        # so they run as one low-rank upsampling conv, back to stride 4
+        fused = _compose(self.lateral3.weight, self.tconv3.weight, tape)
+        top = sparse_transposed_conv(x3, fused, kernel_size=2, stride=2,
+                                     tape=tape)
         return sparse_add(top, self.lateral2(x2, tape), tape)
 
 
@@ -286,19 +304,20 @@ class MinkLoc:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
-        params = self.named_params()
-        for name, var in params.items():
+        def fetch(name: str, shape: tuple) -> np.ndarray:
             if name not in state:
-                raise FormatError(f"checkpoint missing parameter {name}")
+                raise FormatError(f"checkpoint missing entry {name}")
             arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != var.value.shape:
-                raise FormatError(
-                    f"checkpoint shape mismatch for {name}: "
-                    f"{arr.shape} vs {var.value.shape}")
-            var.value = arr.copy()
+            if arr.shape != shape:
+                raise FormatError(f"checkpoint shape mismatch for {name}: "
+                                  f"{arr.shape} vs {shape}")
+            return arr.copy()
+
+        for name, var in self.named_params().items():
+            var.value = fetch(name, var.value.shape)
         for name, bn in self._batch_norms().items():
-            bn.running_mean = np.asarray(state[f"{name}.mean"], dtype=np.float64).copy()
-            bn.running_var = np.asarray(state[f"{name}.var"], dtype=np.float64).copy()
+            bn.running_mean = fetch(f"{name}.mean", bn.running_mean.shape)
+            bn.running_var = fetch(f"{name}.var", bn.running_var.shape)
 
     def param_count(self) -> int:
         return sum(v.value.size for v in self.named_params().values())
@@ -396,5 +415,5 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
                                 offset=ent["offset"])
             state[ent["name"]] = arr.reshape(shape).astype(np.float64)
         return state
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, struct.error) as exc:
         raise FormatError(f"{path}: corrupt checkpoint ({exc})") from exc

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,13 +20,6 @@ from .errors import EmptyInput
 _COORD_BITS = 17
 _COORD_OFF = 1 << (_COORD_BITS - 1)
 _MAX_BATCH = 1 << 13
-
-
-class VoxelCoord(NamedTuple):
-    batch: int
-    x: int
-    y: int
-    z: int
 
 
 @dataclass
@@ -165,13 +157,6 @@ class SparseTensor:
         hit = (pos < len(skeys)) & (skeys[pos_c] == q)
         rows = np.where(hit, order[pos_c], -1)
         return rows
-
-    def row(self, coord: VoxelCoord) -> int:
-        r = int(self.rows_of(np.asarray([coord], dtype=np.int64))[0])
-        return r
-
-    def voxels(self) -> list[VoxelCoord]:
-        return [VoxelCoord(*map(int, row)) for row in self.coords]
 
     def sorted_by_coord(self) -> "SparseTensor":
         """Rows reordered by packed key: a canonical, input-order-free layout."""

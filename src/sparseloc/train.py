@@ -27,9 +27,6 @@ class TrainingConfig:
     margin: float = 0.2
 
 
-REFINED = TrainingConfig(initial_batch=16, epochs=80, lr_step_epoch=60)
-
-
 @dataclass
 class AugmentConfig:
     jitter_sigma: float = 0.001
@@ -175,15 +172,6 @@ def partition_epoch(tuples: dict, batch_size: int, rng: np.random.Generator):
     return batches
 
 
-def build_batch(tuples: dict, size: int, rng: np.random.Generator):
-    """A single batch of size/2 positive pairs with no repeated record."""
-    batches = partition_epoch(tuples, size, rng)
-    batch = batches[0]
-    if len(batch) < size:
-        raise DatasetError(f"dataset cannot fill a batch of {size}")
-    return batch[:size]
-
-
 def dynamic_batch_expand(active_ratio: float, current: int,
                          cfg: TrainingConfig) -> int:
     """Grow the batch when too few mined triplets are active."""
@@ -300,7 +288,8 @@ def train(dataset, model: MinkLoc, cfg: TrainingConfig,
     history: list[EpochStats] = []
     batch_size = cfg.initial_batch
     metrics_path = os.path.join(out_dir, "metrics.csv") if out_dir else None
-    if metrics_path and not os.path.exists(metrics_path):
+    if metrics_path:
+        # a rerun into the same directory starts the file over
         os.makedirs(out_dir, exist_ok=True)
         with open(metrics_path, "w", newline="") as fh:
             csv.writer(fh).writerow(

@@ -179,3 +179,38 @@ class TestPipeline:
                     "--cloud", cloud, "-k", "99"])
         assert code == cli.EXIT_OK
         assert "clamped" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_query_k_below_one_is_usage_error(self, pipeline, capsys, k):
+        cloud = os.path.join(pipeline["root"], "place000_rev00.bin")
+        code = run(["query", "--config", pipeline["cfg"],
+                    "--checkpoint", pipeline["ckpt"],
+                    "--db", str(pipeline["base"] / "q.db"),
+                    "--cloud", cloud, "-k", k])
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "-k" in captured.err
+
+    @pytest.mark.parametrize("damage", ["truncated_header", "missing_bn_stat"])
+    def test_query_damaged_checkpoint_is_2(self, pipeline, capsys, damage):
+        from sparseloc import load_checkpoint, save_checkpoint
+        bad = str(pipeline["base"] / f"{damage}.ckpt")
+        if damage == "truncated_header":
+            with open(pipeline["ckpt"], "rb") as fh:
+                head = fh.read(10)   # cut inside the header length field
+            with open(bad, "wb") as fh:
+                fh.write(head)
+        else:
+            state = load_checkpoint(pipeline["ckpt"])
+            del state["conv1.down.bn.mean"]
+            save_checkpoint(bad, state)
+        cloud = os.path.join(pipeline["root"], "place000_rev00.bin")
+        code = run(["query", "--config", pipeline["cfg"], "--checkpoint", bad,
+                    "--db", str(pipeline["base"] / "q.db"), "--cloud", cloud])
+        assert code == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "checkpoint" in captured.err
+        assert "Traceback" not in captured.err

@@ -60,6 +60,12 @@ class TestKnn:
         with pytest.raises(ValueError):
             knn(db, [0.0], k=2)
 
+    def test_k_below_one_rejected(self):
+        db = make_db([0.0, 1.0, 3.0], [0, 0, 0], [10, 11, 12])
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                knn(db, [0.0], k=k)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DatasetError):
             make_db([0.0, 1.0], [0, 0], [5, 5])

@@ -125,6 +125,28 @@ class TestTransposedConv:
         with pytest.raises(StrideError):
             sparse_transposed_conv(x, Var(np.ones((8, 1, 1))), stride=2)
 
+    def test_rows_are_parent_plus_offset(self):
+        # row i*8 + k is parent i moved by offset k at the output stride
+        rng = np.random.default_rng(5)
+        coords = np.unique(np.column_stack(
+            [rng.integers(0, 2, size=20), 4 * rng.integers(-3, 3, size=(20, 3))]),
+            axis=0)
+        x = SparseTensor(coords, rng.normal(size=(len(coords), 2)), stride=4)
+        out = sparse_transposed_conv(x, Var(rng.normal(size=(8, 2, 3))))
+        assert out.stride == 2 and out.n == 8 * x.n
+        offs = np.asarray(kernel_offsets(2))
+        for i, parent in enumerate(x.coords):
+            for k, off in enumerate(offs):
+                assert out.coords[i * 8 + k].tolist() == (
+                    parent + np.concatenate([[0], off * 2])).tolist()
+        assert len(np.unique(out.coords, axis=0)) == out.n
+
+    def test_kernel_size_must_equal_stride(self):
+        x = SparseTensor(np.array([[0, 0, 0, 0]]), np.array([[1.0]]), stride=2)
+        with pytest.raises(ShapeError):
+            sparse_transposed_conv(x, Var(np.ones((27, 1, 1))), kernel_size=3,
+                                   stride=2)
+
 
 class TestBatchNorm:
     def _tensor(self, col):

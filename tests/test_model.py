@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from sparseloc import (MinkLoc, ModelConfig, PointCloud, SparseTensor, Var,
-                       batch_tensor, compute_descriptor, gem_pool,
-                       load_checkpoint, mac_pool, save_checkpoint)
+from sparseloc import (MinkLoc, ModelConfig, PointCloud, SparseTensor, Tape,
+                       Var, batch_tensor, compute_descriptor, gem_pool,
+                       load_checkpoint, mac_pool, relu, save_checkpoint,
+                       sparse_transposed_conv)
 from sparseloc.errors import FormatError
+from sparseloc.model import _compose
 from conftest import TINY_CFG
 
 
@@ -108,6 +110,45 @@ class TestBackbone:
         fmap = bb(st)
         assert {tuple(c) for c in fmap.coords.tolist()} == expect
 
+    def test_fused_top_gradients_match_unfused(self):
+        # c3 != d so a transposed factor in the split would not go unnoticed
+        model = MinkLoc(ModelConfig(**{**TINY_CFG, "conv3_ch": 3,
+                                       "descriptor_dim": 5}), seed=0)
+        bb = model.backbone
+        rng = np.random.default_rng(4)
+        st = batch_tensor([PointCloud(rng.uniform(-0.9, 0.9, size=(80, 3)))],
+                          model.cfg.quantization_step)
+        x3 = bb.block3(bb.block2(bb.block1(relu(bb.conv0_bn(bb.conv0(st))))))
+        mix = rng.normal(size=(8 * x3.n, 5))
+
+        def grads(fused):
+            leaf = SparseTensor(x3.coords, Var(x3.features.copy()),
+                                stride=x3.stride)
+            for var in (bb.lateral3.weight, bb.tconv3.weight):
+                var.zero_grad()
+            tape = Tape()
+            if fused:
+                w = _compose(bb.lateral3.weight, bb.tconv3.weight, tape)
+                top = sparse_transposed_conv(leaf, w, tape=tape)
+            else:
+                top = bb.tconv3(bb.lateral3(leaf, tape), tape)
+            tape.backward(top.fvar, mix)
+            return [top.features, bb.lateral3.weight.grad,
+                    bb.tconv3.weight.grad, leaf.fvar.grad]
+
+        for got, want in zip(grads(True), grads(False)):
+            rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert rel < 1e-10
+
+    def test_tape_with_running_stats_matches_no_tape(self, tiny_model):
+        rng = np.random.default_rng(6)
+        st = batch_tensor([PointCloud(rng.uniform(-0.9, 0.9, size=(80, 3)))],
+                          tiny_model.cfg.quantization_step)
+        plain = tiny_model.backbone(st)
+        taped = tiny_model.backbone(st, Tape(), train=False)
+        assert np.array_equal(plain.coords, taped.coords)
+        assert np.max(np.abs(plain.features - taped.features)) <= 1e-12
+
     def test_reference_param_count(self):
         # default widths land within the published ~1.1M parameter budget
         model = MinkLoc(ModelConfig(), seed=0)
@@ -176,6 +217,31 @@ class TestCheckpoint:
         save_checkpoint(path, state)
         with pytest.raises(FormatError):
             MinkLoc(cfg, seed=0).load_state_dict(load_checkpoint(path))
+
+    def test_missing_bn_stat_rejected(self, tmp_path):
+        cfg = ModelConfig(**TINY_CFG)
+        state = MinkLoc(cfg, seed=0).state_dict()
+        del state["conv2.res1.bn.var"]
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, state)
+        with pytest.raises(FormatError):
+            MinkLoc(cfg, seed=0).load_state_dict(load_checkpoint(path))
+
+    def test_truncated_header_length_rejected(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, MinkLoc(ModelConfig(**TINY_CFG)).state_dict())
+        with open(path, "rb") as fh:
+            head = fh.read(10)   # magic plus half of the header length
+        with open(path, "wb") as fh:
+            fh.write(head)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_header_not_an_entry_list_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"SLCKPT1\n" + (1).to_bytes(4, "little") + b"5")
+        with pytest.raises(FormatError):
+            load_checkpoint(str(path))
 
     def test_missing_param_rejected(self, tmp_path):
         cfg = ModelConfig(**TINY_CFG)

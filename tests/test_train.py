@@ -336,6 +336,15 @@ class TestTrainLoop:
         assert lines[0] == "epoch,batch_size,mean_loss,active_ratio,lr"
         assert len(lines) == 1 + cfg.epochs
 
+    def test_rerun_starts_metrics_fresh(self, synth_root, tmp_path):
+        out = str(tmp_path / "run")
+        for _ in range(2):
+            ds, model, cfg = self._setup(synth_root)
+            train(ds, model, cfg, seed=0, out_dir=out)
+        with open(os.path.join(out, "metrics.csv")) as fh:
+            lines = fh.read().strip().splitlines()
+        assert len(lines) == 1 + cfg.epochs
+
     def test_batch_sizes_non_decreasing(self, synth_root):
         ds, model, cfg = self._setup(synth_root)
         hist = train(ds, model, cfg, seed=0)
