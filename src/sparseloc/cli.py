@@ -13,6 +13,7 @@ import dataclasses
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -97,13 +98,20 @@ def _load_model(checkpoint: str, cfg: ModelConfig, seed: int) -> MinkLoc:
     return model
 
 
+def _file_descriptor(model: MinkLoc, pts: np.ndarray, source) -> Descriptor:
+    """Descriptor of points from ``load_cloud``, which warns on range itself."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "point coordinates fall outside")
+        return compute_descriptor(PointCloud(pts, source), model)
+
+
 def _embed_records(model: MinkLoc, dataset: data_io.Dataset,
                    report=None) -> ev.DescriptorDatabase:
     descs, north, east, ids = [], [], [], []
     t0 = time.perf_counter()
     for rid in sorted(dataset.records):
         rec = dataset.records[rid]
-        d = compute_descriptor(PointCloud(dataset.load_points(rid), rid), model)
+        d = _file_descriptor(model, dataset.load_points(rid), rid)
         descs.append(d.values)
         north.append(rec.northing)
         east.append(rec.easting)
@@ -183,8 +191,7 @@ def cmd_query(args) -> int:
     _, mcfg, _, _ = resolve_configs(args)
     model = _load_model(args.checkpoint, mcfg, args.seed)
     db = ev.load_database(args.db)
-    pts = data_io.load_cloud(args.cloud)
-    desc = compute_descriptor(PointCloud(pts, args.cloud), model)
+    desc = _file_descriptor(model, data_io.load_cloud(args.cloud), args.cloud)
     k = args.k
     if k > len(db):
         print(f"warning: k={k} clamped to database size {len(db)}",
@@ -273,7 +280,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
-    except (FormatError, DatasetError, EmptyInput, FileNotFoundError) as exc:
+    except (FormatError, DatasetError, EmptyInput, FileNotFoundError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -34,42 +34,30 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
     if n_off != len(kernel_offsets(kernel_size)):
         raise ShapeError("weight offset count does not match kernel size")
     _check_channels(x, c_in)
-    if kernel_size == 1 and stride == 1:
-        # identity kernel map: a per-row matrix multiply
-        f = x.features
-        yvar = Var(f @ w[0])
-        if tape is not None:
-            xvar = x.fvar
-
-            def backward():
-                g = yvar.grad
-                if g is None:
-                    return
-                weight.add_grad((f.T @ g)[None])
-                xvar.add_grad(g @ w[0].T)
-
-            tape.record(backward)
-        return SparseTensor(x.coords, yvar, stride=x.stride, validate=False,
-                            geom=x._geom)
+    f = x.features
     if stride == 1:
         out_coords, out_stride = x.coords, x.stride
         out_geom = x._geom
     else:
         out_coords, out_stride = downsample_coords(x, stride)
         out_geom = None
-    kmap = build_kernel_map(x, out_coords, kernel_size, dilation_stride=x.stride,
-                            cache_key=("conv", kernel_size, stride))
-    f = x.features
-    out = np.zeros((len(out_coords), c_out))
+    # odd K at stride 1: the centre offset pairs every row with itself, so
+    # its term is one plain GEMM (and the whole conv when K == 1)
+    centre = n_off // 2 if stride == 1 and kernel_size % 2 else None
+    out = np.zeros((len(out_coords), c_out)) if centre is None else f @ w[centre]
     used = []
-    for k, off in enumerate(kmap.offsets):
-        hit = kmap.pairs.get(off)
-        if hit is None:
-            continue
-        ri, ro = hit
-        # out rows unique within one offset: plain fancy-index add is safe
-        out[ro] += f[ri] @ w[k]
-        used.append((k, ri, ro))
+    if centre is None or n_off > 1:
+        kmap = build_kernel_map(x, out_coords, kernel_size,
+                                dilation_stride=x.stride,
+                                cache_key=("conv", kernel_size, stride))
+        for k, off in enumerate(kmap.offsets):
+            hit = kmap.pairs.get(off)
+            if hit is None or k == centre:
+                continue
+            ri, ro = hit
+            # out rows unique within one offset: plain fancy-index add is safe
+            out[ro] += f[ri] @ w[k]
+            used.append((k, ri, ro))
     yvar = Var(out)
     if tape is not None:
         xvar = x.fvar
@@ -79,7 +67,11 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
             if g is None:
                 return
             gw = np.zeros_like(w)
-            gx = np.zeros_like(f)
+            if centre is None:
+                gx = np.zeros_like(f)
+            else:
+                gx = g @ w[centre].T
+                gw[centre] = f.T @ g
             for k, ri, ro in used:
                 gx[ri] += g[ro] @ w[k].T
                 gw[k] += f[ri].T @ g[ro]

@@ -50,26 +50,17 @@ class Descriptor:
             raise ValueError("descriptor contains non-finite values")
 
 
-def _batch_segments(coords: np.ndarray):
-    """(batch_id, row_indices) per batch item, ascending batch id."""
-    ids = np.unique(coords[:, 0])
-    return [(int(b), np.nonzero(coords[:, 0] == b)[0]) for b in ids]
-
-
-def _elementwise_pow(base: np.ndarray, p: float) -> np.ndarray:
-    """base ** p with a cheap repeated-multiplication path for integer p."""
-    if p == int(p) and 1 <= p <= 16:
-        e = int(p)
-        result = None
-        square = base
-        while e:
-            if e & 1:
-                result = square if result is None else result * square
-            e >>= 1
-            if e:
-                square = square * square
-        return result
-    return base ** p
+def _batch_slices(coords: np.ndarray):
+    """Row order grouping batch items (None if they are already), ascending
+    batch ids, and each item's (start, end) rows in that order."""
+    batch = coords[:, 0]
+    order = None
+    if np.any(batch[1:] < batch[:-1]):
+        order = np.argsort(batch, kind="stable")
+        batch = batch[order]
+    ids, starts = np.unique(batch, return_index=True)
+    ends = np.append(starts[1:], len(batch))
+    return order, ids.tolist(), list(zip(starts, ends))
 
 
 def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
@@ -79,37 +70,34 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
     g_k = (mean_j clamp(f_jk, eps)^p)^(1/p); differentiable in features and p.
     Returns (Var of shape (B, c), list of batch ids).
 
-    Values are factored as max * (mean (c/max)^p)^(1/p) so large exponents
-    never overflow; the ratios stay in (0, 1].
+    Items are contiguous row slices of one fresh buffer c = clamp(f, eps),
+    raised to p in place (by einsum for small integer p without a tape; into
+    a kept second buffer with one).  Where the direct power could overflow,
+    values are max * (mean (c/max)^p)^(1/p), so the ratios stay in (0, 1].
     """
     f = fmap.features
     if len(f) == 0:
         raise EmptyInput("cannot pool an empty feature map")
     p = float(p_var.value)
-    segments = _batch_segments(fmap.coords)
-    clamped = np.maximum(f, eps)
+    order, ids, bounds = _batch_slices(fmap.coords)
+    c = np.maximum(f if order is None else f[order], eps)
     # skip the ratio normalization when the direct power cannot overflow
-    direct = p * np.log(max(float(clamped.max()), 1.0)) < 300.0
+    direct = p * np.log(max(float(c.max()), 1.0)) < 300.0
     # eval mode with a small integer p: single-pass reduction, no temporaries
     use_einsum = tape is None and p == int(p) and 2 <= p <= 4
-    maxes, ratios, means = [], [], []
-    for _, rows in segments:
-        if direct:
-            m = np.ones(f.shape[1])
-            r = clamped[rows]
-        else:
-            m = clamped[rows].max(axis=0)
-            r = clamped[rows] / m
-        maxes.append(m)
-        ratios.append(r)
+    powers = c if tape is None else np.empty_like(c)   # (c/max)^p
+    maxes = np.ones((len(ids), f.shape[1]))
+    means = np.empty_like(maxes)
+    for b, (s, e) in enumerate(bounds):
+        r = c[s:e]
+        if not direct:
+            maxes[b] = r.max(axis=0)
+            r = np.divide(r, maxes[b], out=powers[s:e])
         if use_einsum:
-            e = int(p)
-            sub = ",".join(["ij"] * e) + "->j"
-            means.append(np.einsum(sub, *([r] * e)) / len(rows))
+            sub = ",".join(["ij"] * int(p)) + "->j"
+            means[b] = np.einsum(sub, *([r] * int(p))) / (e - s)
         else:
-            means.append(_elementwise_pow(r, p).mean(axis=0))
-    maxes = np.stack(maxes)
-    means = np.stack(means)
+            means[b] = np.power(r, p, out=powers[s:e]).sum(axis=0) / (e - s)
     out = maxes * means ** (1.0 / p)
     yvar = Var(out)
     if tape is not None:
@@ -119,25 +107,28 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
             g = yvar.grad
             if g is None:
                 return
-            gf = np.zeros_like(f)
+            gc = np.empty_like(c)
             gp = 0.0
-            for b, (_, rows) in enumerate(segments):
-                n_b = len(rows)
-                r = ratios[b]
-                # d g_k / d c_jk = (1/n) mean^(1/p - 1) (c/max)^(p-1); the
-                # max factor cancels, so it is treated as a constant
-                gf[rows] = (g[b] * means[b] ** (1.0 / p - 1.0) / n_b
-                            * _elementwise_pow(r, p - 1.0) * (f[rows] > eps))
-                logr = np.log(r)
-                mlog = (_elementwise_pow(r, p) * logr).mean(axis=0)
+            for b, (s, e) in enumerate(bounds):
+                n_b, cb, pb = e - s, c[s:e], powers[s:e]
+                # d g_k / d c_jk = (1/n) mean^(1/p - 1) (c/max)^p max / c:
+                # the max factor cancels in g, so it is treated as a constant
+                gb = np.divide(pb, cb, out=gc[s:e])
+                gb *= g[b] * means[b] ** (1.0 / p - 1.0) * maxes[b] / n_b
+                gb *= cb > eps
+                # mean (c/max)^p log(c/max)
+                mlog = (np.einsum("ij,ij->j", pb, np.log(cb)) / n_b
+                        - means[b] * np.log(maxes[b]))
                 dy_dp = out[b] * (mlog / (p * means[b])
                                   - np.log(means[b]) / p ** 2)
                 gp += float((g[b] * dy_dp).sum())
-            fvar.add_grad(gf)
+            if order is not None:
+                gc[order] = gc.copy()
+            fvar.add_grad(gc)
             p_var.add_grad(np.asarray(gp))
 
         tape.record(backward)
-    return yvar, [b for b, _ in segments]
+    return yvar, ids
 
 
 def mac_pool(fmap: SparseTensor, tape: Tape | None = None):
@@ -145,8 +136,9 @@ def mac_pool(fmap: SparseTensor, tape: Tape | None = None):
     f = fmap.features
     if len(f) == 0:
         raise EmptyInput("cannot pool an empty feature map")
-    segments = _batch_segments(fmap.coords)
-    argmax = [rows[np.argmax(f[rows], axis=0)] for _, rows in segments]
+    order, ids, bounds = _batch_slices(fmap.coords)
+    rows = np.arange(len(f)) if order is None else order
+    argmax = [rows[s:e][np.argmax(f[rows[s:e]], axis=0)] for s, e in bounds]
     out = np.stack([f[am, np.arange(f.shape[1])] for am in argmax])
     yvar = Var(out)
     if tape is not None:
@@ -163,7 +155,7 @@ def mac_pool(fmap: SparseTensor, tape: Tape | None = None):
             fvar.add_grad(gf)
 
         tape.record(backward)
-    return yvar, [b for b, _ in segments]
+    return yvar, ids
 
 
 class _ConvBlock:
@@ -206,6 +198,26 @@ def _compose(lateral: Var, tconv: Var, tape: Tape | None) -> Var:
     return fused
 
 
+def _add_lateral(top: SparseTensor, lateral: SparseTensor,
+                 tape: Tape | None) -> SparseTensor:
+    """top + lateral in place in top's fresh buffer.  Each lateral voxel is
+    a child of its stride-8 parent, so top already holds all of them."""
+    rows = top.rows_of(lateral.coords)
+    if rows.min() < 0:
+        raise ShapeError("lateral voxel has no parent in the upsampled map")
+    top.features[rows] += lateral.features
+    if tape is not None:
+        # top keeps its Var, so the transposed conv receives the gradient as is
+        out, lvar = top.fvar, lateral.fvar
+
+        def backward():
+            if out.grad is not None:
+                lvar.add_grad(out.grad[rows])
+
+        tape.record(backward)
+    return top
+
+
 class MinkFPN:
     """Local feature extraction: bottom-up pyramid with one top-down fusion."""
 
@@ -234,7 +246,7 @@ class MinkFPN:
         fused = _compose(self.lateral3.weight, self.tconv3.weight, tape)
         top = sparse_transposed_conv(x3, fused, kernel_size=2, stride=2,
                                      tape=tape)
-        return sparse_add(top, self.lateral2(x2, tape), tape)
+        return _add_lateral(top, self.lateral2(x2, tape), tape)
 
 
 class MinkLoc:

@@ -75,12 +75,6 @@ def offset_key_delta(offset, step: int) -> int:
     return (dx << (2 * _COORD_BITS)) + (dy << _COORD_BITS) + dz
 
 
-def _unique_rows(coords: np.ndarray) -> np.ndarray:
-    """Indices of first occurrences, in order of first occurrence."""
-    _, first = np.unique(pack_coords(coords), return_index=True)
-    return np.sort(first)
-
-
 class _Geometry:
     """Caches tied to one coordinate set: packed keys, sorted index, kernel maps.
 
@@ -227,13 +221,19 @@ def build_kernel_map(in_tensor: SparseTensor, out_coords: np.ndarray,
     ``out_coords[o] + d * dilation_stride``.  ``cache_key`` memoizes the map
     on the input tensor's shared geometry; callers must only pass it when
     ``out_coords`` is a pure function of that geometry and the key.
+
+    For the input's own coordinate array and odd K the map is symmetric:
+    offset -d holds offset d's pairs swapped, so only half is searched.
     """
     if cache_key is not None:
         cached = in_tensor._geom.kmaps.get(cache_key)
         if cached is not None:
             return cached
+    mirror = out_coords is in_tensor.coords and kernel_size % 2 == 1
     out_coords = np.asarray(out_coords, dtype=np.int64).reshape(-1, 4)
     offsets = kernel_offsets(kernel_size)
+    half = len(offsets) // 2
+    search = offsets[:half] if mirror else offsets
     kmap = KernelMap(offsets=offsets)
     ds = int(dilation_stride)
     out_keys = pack_coords(out_coords)
@@ -263,7 +263,7 @@ def build_kernel_map(in_tensor: SparseTensor, out_coords: np.ndarray,
             occ = np.zeros(int(dims.prod()), dtype=np.bool_)
             occ[lin_in] = True
     if occ is not None:
-        for k, off in enumerate(offsets):
+        for k, off in enumerate(search):
             shift = (off[0] * d1 + off[1]) * d2 + off[2]
             hit = occ[lin_out + shift]
             if hit.any():
@@ -272,14 +272,20 @@ def build_kernel_map(in_tensor: SparseTensor, out_coords: np.ndarray,
                 kmap.pairs[off] = (order[pos], all_out[hit])
     else:
         # one joint searchsorted over every (offset, output) candidate
-        q = out_keys[None, :] + deltas[:, None]
+        q = out_keys[None, :] + deltas[:len(search), None]
         pos = np.searchsorted(skeys, q.ravel()).reshape(q.shape)
         pos_c = np.minimum(pos, n_in - 1)
         hits = (pos < n_in) & (skeys[pos_c] == q)
-        for k, off in enumerate(offsets):
+        for k, off in enumerate(search):
             hit = hits[k]
             if hit.any():
                 kmap.pairs[off] = (order[pos_c[k][hit]], all_out[hit])
+    if mirror:
+        kmap.pairs[offsets[half]] = (all_out, all_out)
+        for k in range(half):
+            hit = kmap.pairs.get(offsets[k])
+            if hit is not None:
+                kmap.pairs[offsets[-1 - k]] = (hit[1], hit[0])
     if cache_key is not None:
         in_tensor._geom.kmaps[cache_key] = kmap
     return kmap
@@ -306,8 +312,8 @@ def downsample_coords(in_tensor: SparseTensor, factor: int = 2):
     else:
         coords = in_tensor.coords.copy()
         coords[:, 1:] = (coords[:, 1:] // new_stride) * new_stride
-        keep = _unique_rows(coords)
-        result = (coords[keep], new_stride)
+        _, first = np.unique(pack_coords(coords), return_index=True)
+        result = (coords[np.sort(first)], new_stride)
     in_tensor._geom.kmaps[("down", new_stride)] = result
     return result
 

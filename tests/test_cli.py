@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from sparseloc import cli, load_database
+from sparseloc import cli, load_database, write_cloud
 from sparseloc.errors import FormatError
 
 
@@ -214,3 +214,40 @@ class TestPipeline:
         assert captured.err.startswith("error: ")
         assert "checkpoint" in captured.err
         assert "Traceback" not in captured.err
+
+
+class TestQueryCloudErrors:
+    @pytest.fixture
+    def query(self, pipeline, tmp_path):
+        db_path = str(pipeline["base"] / "qe.db")
+        if not os.path.exists(db_path):
+            assert run(["embed", "--config", pipeline["cfg"],
+                        "--checkpoint", pipeline["ckpt"],
+                        "--index", os.path.join(pipeline["root"], "run_0.csv"),
+                        "--out", db_path]) == cli.EXIT_OK
+
+        def query_points(points):
+            cloud = str(tmp_path / "scan.bin")
+            write_cloud(cloud, np.asarray(points, dtype=float))
+            return cloud, run(["query", "--config", pipeline["cfg"],
+                               "--checkpoint", pipeline["ckpt"],
+                               "--db", db_path, "--cloud", cloud, "-k", "2"])
+
+        return query_points
+
+    @pytest.mark.parametrize("bad", [np.nan, 5000.0])
+    def test_unusable_coordinate_is_2(self, query, capsys, bad):
+        # NaN fails PointCloud validation; 5000 overflows the coordinate key
+        capsys.readouterr()
+        _, code = query([[0.1, 0.2, 0.3], [bad, 0.0, 0.0]])
+        assert code == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_out_of_range_cloud_warns_once(self, query, capsys, recwarn):
+        cloud, code = query([[0.1, 0.2, 0.3], [1.5, 0.0, 0.0]])
+        assert code == cli.EXIT_OK
+        assert len(recwarn) == 1
+        assert cloud in str(recwarn[0].message)

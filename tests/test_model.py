@@ -7,8 +7,9 @@ from sparseloc import (MinkLoc, ModelConfig, PointCloud, SparseTensor, Tape,
                        Var, batch_tensor, compute_descriptor, gem_pool,
                        load_checkpoint, mac_pool, relu, save_checkpoint,
                        sparse_transposed_conv)
-from sparseloc.errors import FormatError
-from sparseloc.model import _compose
+from sparseloc.errors import FormatError, ShapeError
+from sparseloc.gradcheck import max_rel_err, numeric_grad
+from sparseloc.model import _add_lateral, _compose
 from conftest import TINY_CFG
 
 
@@ -54,6 +55,61 @@ class TestGemPool:
         out, ids = gem_pool(x, Var(np.asarray(1.0)))
         assert ids == [0, 1]
         assert np.allclose(out.value.ravel(), [2.0, 6.0])
+
+    @pytest.mark.parametrize("p, scale", [(3.17, 2.0), (200.0, 10.0)])
+    def test_row_order_free(self, p, scale):
+        # scale 10 at p = 200 takes the max-factored (overflow-safe) path
+        rng = np.random.default_rng(3)
+        batch = np.repeat([0, 1, 2], [7, 5, 9])
+        feats = rng.uniform(-0.2, scale, size=(21, 4))
+        mix = rng.normal(size=(3, 4))
+
+        def pooled(perm):
+            x = column_tensor(feats[perm], batch=batch[perm])
+            p_var = Var(np.asarray(p))
+            tape = Tape()
+            out, ids = gem_pool(x, p_var, tape)
+            tape.backward(out, mix)
+            gx = np.empty_like(feats)
+            gx[perm] = x.fvar.grad
+            return out.value, gx, float(p_var.grad), ids
+
+        ref = pooled(np.arange(21))
+        got = pooled(rng.permutation(21))
+        assert got[3] == ref[3] == [0, 1, 2]
+        for a, b in zip(got[:3], ref[:3]):
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+    def test_max_factored_gradients_match_finite_differences(self):
+        # p * log(max) > 300 takes the overflow-safe path through the maxima
+        rng = np.random.default_rng(5)
+        x = column_tensor(rng.uniform(1600.0, 2000.0, size=(9, 2)),
+                          batch=np.repeat([0, 1, 2], 3))
+        p = Var(np.asarray(40.0))
+        mix = rng.normal(size=(3, 2))
+        tape = Tape()
+        out, _ = gem_pool(x, p, tape)
+        tape.backward(out, mix)
+
+        def loss():
+            return float((gem_pool(x, p)[0].value * mix).sum())
+
+        for var in (p, x.fvar):
+            assert max_rel_err(var.grad, numeric_grad(loss, var, h=1e-4)) < 1e-4
+
+    @pytest.mark.parametrize("p, scale", [(3.0, 2.0), (3.17, 2.0),
+                                          (200.0, 10.0)])
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_input_features_untouched(self, p, scale, taped):
+        rng = np.random.default_rng(4)
+        x = column_tensor(rng.uniform(-0.5, scale, size=(12, 3)),
+                          batch=np.repeat([0, 1], 6))
+        before = x.features.copy()
+        tape = Tape() if taped else None
+        out, _ = gem_pool(x, Var(np.asarray(p)), tape)
+        if taped:
+            tape.backward(out, np.ones_like(out.value))
+        assert np.array_equal(x.features, before)
 
 
 class TestMacPool:
@@ -149,6 +205,27 @@ class TestBackbone:
         assert np.array_equal(plain.coords, taped.coords)
         assert np.max(np.abs(plain.features - taped.features)) <= 1e-12
 
+    def test_lateral_without_parent_rejected(self):
+        top = SparseTensor(np.array([[0, 0, 0, 0], [0, 4, 0, 0]]),
+                           np.ones((2, 3)), stride=4)
+        lateral = SparseTensor(np.array([[0, 8, 0, 0]]), np.ones((1, 3)),
+                               stride=4)
+        with pytest.raises(ShapeError):
+            _add_lateral(top, lateral, None)
+
+    def test_lateral_add_and_gradients(self):
+        top = SparseTensor(np.array([[0, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0]]),
+                           np.arange(6.0).reshape(3, 2), stride=4)
+        lateral = SparseTensor(np.array([[0, 0, 4, 0], [0, 0, 0, 0]]),
+                               np.array([[10.0, 20.0], [30.0, 40.0]]), stride=4)
+        tape = Tape()
+        out = _add_lateral(top, lateral, tape)
+        assert out.coords.tolist() == top.coords.tolist()
+        assert out.features.tolist() == [[30.0, 41.0], [2.0, 3.0], [14.0, 25.0]]
+        g = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        tape.backward(out.fvar, g)
+        assert np.array_equal(lateral.fvar.grad, g[[2, 0]])
+
     def test_reference_param_count(self):
         # default widths land within the published ~1.1M parameter budget
         model = MinkLoc(ModelConfig(), seed=0)
@@ -183,6 +260,12 @@ class TestDescriptorInvariance:
         a = compute_descriptor(PointCloud(pts), tiny_model)
         b = compute_descriptor(PointCloud(dup), tiny_model)
         assert np.array_equal(a.values, b.values)
+
+    def test_input_points_untouched(self, tiny_model, rng):
+        pts = rng.uniform(-0.9, 0.9, size=(50, 3))
+        before = pts.copy()
+        compute_descriptor(PointCloud(pts), tiny_model)
+        assert np.array_equal(pts, before)
 
     def test_out_of_range_warns(self, tiny_model):
         with pytest.warns(UserWarning):

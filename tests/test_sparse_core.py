@@ -156,6 +156,30 @@ class TestKernelMap:
         assert kmap.pair_count() == expect
 
 
+def pair_set(kmap):
+    return {(off, i, o) for off, (ri, ro) in kmap.pairs.items()
+            for i, o in zip(ri.tolist(), ro.tolist())}
+
+
+class TestMirroredKernelMap:
+    # batches=1 takes the dense-occupancy builder, batches=3 the joint
+    # searchsorted one; a copy of the coordinates forces a full build
+    @pytest.mark.parametrize("batches", [1, 3])
+    @pytest.mark.parametrize("kernel_size", [3, 5])
+    def test_matches_full_build(self, kernel_size, batches):
+        rng = np.random.default_rng(10 * kernel_size + batches)
+        coords = np.unique(np.column_stack(
+            [rng.integers(0, batches, size=400),
+             2 * rng.integers(-5, 5, size=(400, 3))]), axis=0)
+        x = make_tensor(coords[rng.permutation(len(coords))], stride=2)
+        mirrored = build_kernel_map(x, x.coords, kernel_size, dilation_stride=2)
+        full = build_kernel_map(x, x.coords.copy(), kernel_size,
+                                dilation_stride=2)
+        assert len(pair_set(full)) > 2 * len(coords)
+        assert pair_set(mirrored) == pair_set(full)
+        assert mirrored.pair_count() == full.pair_count()
+
+
 class TestDownsample:
     def test_collapse_to_origin(self):
         x = make_tensor([[0, 0, 0, 0], [0, 1, 1, 1]])
