@@ -156,6 +156,7 @@ def cmd_eval(args) -> int:
     if len(queries) == 1 and len(dbs) == 1:
         q_runs, db_runs = queries, dbs
     else:
+        # --query x --db product; cross_run_pairings pairs within one list
         q_runs, db_runs = [], []
         for q in queries:
             for db in dbs:
@@ -168,8 +169,7 @@ def cmd_eval(args) -> int:
     result = ev.average_recall(q_runs, db_runs, ecfg)
     rows = [("AR@1", result["ar_at_1"]), ("AR@1%", result["ar_at_1pct"])]
     max_n = min(len(db) for db in db_runs)
-    curve = np.mean([ev.recall_curve(q, db, max_n, ecfg)
-                     for q, db in zip(q_runs, db_runs)], axis=0)
+    curve = np.mean([p["curve"][:max_n] for p in result["pairings"]], axis=0)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["metric", "value"])

@@ -43,6 +43,12 @@ class DescriptorDatabase:
         return self.descriptors.shape[1]
 
 
+def _ranking(db: DescriptorDatabase, q: np.ndarray):
+    """Database rows in (distance, id) order, and every row's distance."""
+    d = np.linalg.norm(db.descriptors - q, axis=1)
+    return np.lexsort((db.ids, d)), d
+
+
 def knn(db: DescriptorDatabase, query: np.ndarray, k: int):
     """Exact k nearest neighbours by Euclidean distance, ties by lower id.
 
@@ -54,32 +60,41 @@ def knn(db: DescriptorDatabase, query: np.ndarray, k: int):
         raise ValueError(f"k must be >= 1, got {k}")
     if k > len(db):
         raise ValueError(f"k={k} exceeds database size {len(db)}")
-    q = np.asarray(query, dtype=np.float64).reshape(-1)
-    d = np.linalg.norm(db.descriptors - q, axis=1)
-    order = np.lexsort((db.ids, d))[:k]
-    return db.ids[order], d[order]
+    order, d = _ranking(db, np.asarray(query, dtype=np.float64).reshape(-1))
+    return db.ids[order[:k]], d[order[:k]]
+
+
+def recall_curve(queries: DescriptorDatabase, db: DescriptorDatabase,
+                 max_n: int, cfg: EvalConfig | None = None) -> np.ndarray:
+    """recall_at_n for n = 1..max_n, n clamped to len(db).  Each query is
+    ranked once; the ranks of its first hit (len(db) for none) are counted
+    into one cumulative histogram."""
+    cfg = cfg or EvalConfig()
+    if len(db) == 0:
+        raise EmptyInput("empty descriptor database")
+    if np.isin(queries.ids, db.ids).any():
+        raise DatasetError("query and database ids overlap")
+    if max_n < 1:
+        raise ValueError(f"n must be >= 1, got {max_n}")
+    if max_n > len(db):
+        warnings.warn(f"n={max_n} clamped to database size {len(db)}", stacklevel=2)
+    first = np.full(len(queries), len(db))
+    for qi in range(len(queries)):
+        order, _ = _ranking(db, queries.descriptors[qi])
+        geo = np.sqrt((db.northing[order] - queries.northing[qi]) ** 2
+                      + (db.easting[order] - queries.easting[qi]) ** 2)
+        hits = np.flatnonzero(geo <= cfg.success_radius)
+        if hits.size:
+            first[qi] = hits[0]
+    hits_within = np.cumsum(np.bincount(first, minlength=len(db) + 1))
+    n = np.minimum(np.arange(max_n), len(db) - 1)
+    return hits_within[n] / max(len(queries), 1)
 
 
 def recall_at_n(queries: DescriptorDatabase, db: DescriptorDatabase,
                 n: int, cfg: EvalConfig | None = None) -> float:
     """Fraction of queries with a top-n hit within the success radius."""
-    cfg = cfg or EvalConfig()
-    if len(db) == 0:
-        raise EmptyInput("empty descriptor database")
-    if set(queries.ids.tolist()) & set(db.ids.tolist()):
-        raise DatasetError("query and database ids overlap")
-    if n > len(db):
-        warnings.warn(f"n={n} clamped to database size {len(db)}", stacklevel=2)
-        n = len(db)
-    hits = 0
-    for qi in range(len(queries)):
-        ids, _ = knn(db, queries.descriptors[qi], n)
-        rows = np.nonzero(np.isin(db.ids, ids))[0]
-        geo = np.sqrt((db.northing[rows] - queries.northing[qi]) ** 2
-                      + (db.easting[rows] - queries.easting[qi]) ** 2)
-        if np.any(geo <= cfg.success_radius):
-            hits += 1
-    return hits / len(queries) if len(queries) else 0.0
+    return float(recall_curve(queries, db, n, cfg)[-1])
 
 
 def one_percent_cutoff(db_size: int) -> int:
@@ -96,11 +111,12 @@ def average_recall(queries_by_run: list[DescriptorDatabase],
         raise DatasetError("need matched query / database pairings")
     pairings = []
     for q, db in zip(queries_by_run, dbs_by_run):
-        r1 = recall_at_n(q, db, 1, cfg)
+        curve = recall_curve(q, db, len(db), cfg)
         n1p = one_percent_cutoff(len(db))
-        r1p = recall_at_n(q, db, n1p, cfg)
-        pairings.append({"recall_at_1": r1, "recall_at_1pct": r1p,
-                         "cutoff_1pct": n1p, "queries": len(q), "db": len(db)})
+        pairings.append({"recall_at_1": float(curve[0]),
+                         "recall_at_1pct": float(curve[n1p - 1]),
+                         "cutoff_1pct": n1p, "queries": len(q), "db": len(db),
+                         "curve": curve})
     return {
         "ar_at_1": float(np.mean([p["recall_at_1"] for p in pairings])),
         "ar_at_1pct": float(np.mean([p["recall_at_1pct"] for p in pairings])),
@@ -117,13 +133,6 @@ def cross_run_pairings(runs: list[DescriptorDatabase]):
                 queries.append(q)
                 dbs.append(db)
     return queries, dbs
-
-
-def recall_curve(queries: DescriptorDatabase, db: DescriptorDatabase,
-                 max_n: int, cfg: EvalConfig | None = None) -> np.ndarray:
-    """recall_at_n for n = 1..max_n (non-decreasing by construction)."""
-    return np.array([recall_at_n(queries, db, n, cfg)
-                     for n in range(1, max_n + 1)])
 
 
 # -- database file ---------------------------------------------------------
@@ -148,21 +157,24 @@ def load_database(path: str) -> DescriptorDatabase:
         data = fh.read()
     if not data.startswith(_DB_MAGIC):
         raise FormatError(f"{path}: not a descriptor database file")
-    dim, count = struct.unpack_from("<II", data, len(_DB_MAGIC))
-    payload = data[len(_DB_MAGIC) + 8:]
-    if len(payload) != dim * count * 4:
-        raise FormatError(f"{path}: truncated descriptor payload")
-    desc = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
     sidecar = path + ".geo.csv"
     if not os.path.exists(sidecar):
         raise FormatError(f"{sidecar}: missing geo-tag sidecar")
     ids, northing, easting = [], [], []
-    with open(sidecar, newline="") as fh:
-        for row in csv.DictReader(fh):
-            ids.append(int(row["id"]))
-            northing.append(float(row["northing"]))
-            easting.append(float(row["easting"]))
+    try:
+        dim, count = struct.unpack_from("<II", data, len(_DB_MAGIC))
+        with open(sidecar, newline="") as fh:
+            for row in csv.DictReader(fh):
+                ids.append(int(row["id"]))
+                northing.append(float(row["northing"]))
+                easting.append(float(row["easting"]))
+    except (KeyError, TypeError, ValueError, struct.error) as exc:
+        raise FormatError(f"{path}: corrupt descriptor database ({exc})") from exc
+    payload = data[len(_DB_MAGIC) + 8:]
+    if len(payload) != dim * count * 4:
+        raise FormatError(f"{path}: truncated descriptor payload")
     if len(ids) != count:
         raise FormatError(f"{sidecar}: geo-tag count differs from descriptors")
+    desc = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
     return DescriptorDatabase(desc.astype(np.float64), np.array(northing),
                               np.array(easting), np.array(ids))

@@ -229,9 +229,9 @@ class MinkFPN:
         self.block2 = _ConvBlock(cfg.conv1_ch, cfg.conv2_ch, rng)
         self.block3 = _ConvBlock(cfg.conv2_ch, cfg.conv3_ch, rng)
         self.lateral2 = SparseConv(cfg.conv2_ch, d, kernel_size=1, rng=rng)
+        # lateral3 and tconv3 only hold weights: they run fused via _compose
         self.lateral3 = SparseConv(cfg.conv3_ch, d, kernel_size=1, rng=rng)
-        self.tconv3 = SparseConv(d, d, kernel_size=2, stride=2, transposed=True,
-                                 rng=rng)
+        self.tconv3 = SparseConv(d, d, kernel_size=2, stride=2, rng=rng)
 
     def __call__(self, x: SparseTensor, tape: Tape | None = None,
                  train: bool = False) -> SparseTensor:

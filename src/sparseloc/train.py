@@ -64,16 +64,14 @@ def pairwise_distances(emb: np.ndarray) -> np.ndarray:
 
 def compute_masks(batch_ids: list, tuples: dict) -> SimilarityMasks:
     """Positive / negative boolean masks; indefinite pairs false in both."""
-    n = len(batch_ids)
-    pos = np.zeros((n, n), dtype=bool)
-    neg = np.zeros((n, n), dtype=bool)
+    ids = np.asarray(batch_ids)
+    pos = np.zeros((len(ids), len(ids)), dtype=bool)
+    neg = np.zeros_like(pos)
     for i, a in enumerate(batch_ids):
         t = tuples[a]
-        for j, b in enumerate(batch_ids):
-            if i == j:
-                continue
-            pos[i, j] = b in t.positives
-            neg[i, j] = b not in t.non_negatives and b != a
+        pos[i] = np.isin(ids, list(t.positives))
+        neg[i] = ~np.isin(ids, list(t.non_negatives)) & (ids != a)
+    np.fill_diagonal(pos, False)
     return SimilarityMasks(positive=pos, negative=neg)
 
 
@@ -84,15 +82,12 @@ def batch_hard_mine(emb: np.ndarray, masks: SimilarityMasks):
     Distance ties break toward the lowest index (argmax/argmin convention).
     """
     dist = pairwise_distances(emb)
-    triplets = []
-    for i in range(len(emb)):
-        prow, nrow = masks.positive[i], masks.negative[i]
-        if not prow.any() or not nrow.any():
-            continue
-        p = int(np.argmax(np.where(prow, dist[i], -np.inf)))
-        n = int(np.argmin(np.where(nrow, dist[i], np.inf)))
-        triplets.append((i, p, n))
-    return triplets
+    pos, neg = masks.positive, masks.negative
+    anchors = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
+    hardest_pos = np.where(pos, dist, -np.inf).argmax(axis=1)[anchors]
+    hardest_neg = np.where(neg, dist, np.inf).argmin(axis=1)[anchors]
+    return list(zip(anchors.tolist(), hardest_pos.tolist(),
+                    hardest_neg.tolist()))
 
 
 def mined_triplet_loss(tape: Tape | None, emb_var: Var, triplets, margin: float):
@@ -103,33 +98,29 @@ def mined_triplet_loss(tape: Tape | None, emb_var: Var, triplets, margin: float)
     does not depend on batch size.
     """
     emb = emb_var.value
-    eps = 1e-12
-    records = []
-    for a, p, n in triplets:
-        dap = np.linalg.norm(emb[a] - emb[p])
-        dan = np.linalg.norm(emb[a] - emb[n])
-        l = dap - dan + margin
-        if l > 0.0:
-            records.append((a, p, n, dap, dan))
-    active = len(records)
+    a, p, n = np.asarray(triplets, dtype=np.intp).reshape(-1, 3).T
+    dap = np.linalg.norm(emb[a] - emb[p], axis=1)
+    dan = np.linalg.norm(emb[a] - emb[n], axis=1)
+    hinge = dap - dan + margin
+    act = hinge > 0.0
+    active = int(act.sum())
     if active == 0:
         return Var(np.asarray(0.0)), 0
-    total = sum(dap - dan + margin for _, _, _, dap, dan in records)
-    loss = Var(np.asarray(total / active))
+    loss = Var(np.asarray(hinge[act].sum() / active))
     if tape is not None:
+        a, p, n, dap, dan = a[act], p[act], n[act], dap[act], dan[act]
 
         def backward():
             g = loss.grad
             if g is None:
                 return
             gi = float(g) / active
+            uap = (emb[a] - emb[p]) / np.maximum(dap, 1e-12)[:, None]
+            uan = (emb[a] - emb[n]) / np.maximum(dan, 1e-12)[:, None]
             ge = np.zeros_like(emb)
-            for a, p, n, dap, dan in records:
-                uap = (emb[a] - emb[p]) / max(dap, eps)
-                uan = (emb[a] - emb[n]) / max(dan, eps)
-                ge[a] += gi * (uap - uan)
-                ge[p] -= gi * uap
-                ge[n] += gi * uan
+            np.add.at(ge, a, gi * (uap - uan))
+            np.add.at(ge, p, -gi * uap)
+            np.add.at(ge, n, gi * uan)
             emb_var.add_grad(ge)
 
         tape.record(backward)

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from sparseloc import cli, load_database, write_cloud
+from sparseloc import (DescriptorDatabase, cli, load_database, save_database,
+                       write_cloud)
 from sparseloc.errors import FormatError
 
 
@@ -251,3 +252,41 @@ class TestQueryCloudErrors:
         assert code == cli.EXIT_OK
         assert len(recwarn) == 1
         assert cloud in str(recwarn[0].message)
+
+
+class TestEvalDatabaseErrors:
+    @pytest.mark.parametrize("damage", ["truncated_header", "short_row",
+                                        "no_id_column"])
+    def test_damaged_database_is_2(self, tmp_path, capsys, damage):
+        paths = []
+        for r in range(2):
+            ids = np.arange(4) + 10 * r
+            db = DescriptorDatabase(np.random.default_rng(r).normal(size=(4, 3)),
+                                    np.zeros(4), np.zeros(4), ids)
+            paths.append(str(tmp_path / f"run{r}.db"))
+            save_database(paths[-1], db)
+        bad = paths[1]
+        if damage == "truncated_header":
+            with open(bad, "rb") as fh:
+                head = fh.read(12)   # magic plus half of the dim/count header
+            with open(bad, "wb") as fh:
+                fh.write(head)
+        else:
+            with open(bad + ".geo.csv") as fh:
+                lines = fh.read().splitlines()
+            if damage == "short_row":
+                lines[2] = lines[2].rsplit(",", 1)[0]
+            else:
+                lines[0] = "key,northing,easting"
+            with open(bad + ".geo.csv", "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+        with pytest.raises(FormatError):
+            load_database(bad)
+        code = run(["eval", "--db", paths[0], "--query", bad,
+                    "--out", str(tmp_path / "r.csv")])
+        assert code == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert bad in captured.err
+        assert "Traceback" not in captured.err

@@ -1,11 +1,14 @@
 """Nearest-neighbour search and the Recall@N evaluation protocol."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from sparseloc import (DescriptorDatabase, EvalConfig, average_recall, knn,
-                       load_database, one_percent_cutoff, recall_at_n,
+from sparseloc import (DescriptorDatabase, EvalConfig, average_recall, cli,
+                       knn, load_database, one_percent_cutoff, recall_at_n,
                        recall_curve, save_database)
+from sparseloc import evaluate
 from sparseloc.errors import DatasetError, EmptyInput
 from sparseloc.evaluate import cross_run_pairings
 
@@ -134,6 +137,100 @@ class TestRecall:
         db = self._fixture()
         q = make_db([3.9], [0.0], [0])  # top-1 is 30 m away
         assert recall_at_n(q, db, 1, EvalConfig(success_radius=35.0)) == 1.0
+
+
+def reference_recall_at_n(queries, db, n, radius=25.0):
+    """The protocol rerun for one n: top-n knn per query, then an id lookup."""
+    n = min(n, len(db))
+    hits = 0
+    for qi in range(len(queries)):
+        ids, _ = knn(db, queries.descriptors[qi], n)
+        rows = np.nonzero(np.isin(db.ids, ids))[0]
+        geo = np.sqrt((db.northing[rows] - queries.northing[qi]) ** 2
+                      + (db.easting[rows] - queries.easting[qi]) ** 2)
+        if np.any(geo <= radius):
+            hits += 1
+    return hits / len(queries) if len(queries) else 0.0
+
+
+def random_pairing(seed):
+    """Query and database runs with shuffled disjoint ids.  Even seeds round
+    the descriptors to integers, so exact distance ties are common."""
+    rng = np.random.default_rng(seed)
+    n_db, n_q = int(rng.integers(1, 30)), int(rng.integers(0, 12))
+    ids = rng.permutation(1000)[:n_db + n_q]
+    descs = rng.normal(size=(n_db + n_q, 3))
+    if seed % 2 == 0:
+        descs = np.round(descs)
+    north, east = rng.uniform(0, 100, size=(2, n_db + n_q))
+    db = make_db(descs[:n_db], north[:n_db], ids[:n_db], east=east[:n_db])
+    q = make_db(descs[n_db:], north[n_db:], ids[n_db:], east=east[n_db:])
+    return q, db, int(rng.integers(1, n_db + 6))
+
+
+class TestRankedProtocol:
+    """recall_curve ranks each query once; the per-n rerun is its oracle."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_per_n_reference(self, seed):
+        q, db, max_n = random_pairing(seed)
+        ref = [reference_recall_at_n(q, db, n) for n in range(1, max_n + 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert recall_curve(q, db, max_n).tolist() == ref
+            assert recall_at_n(q, db, max_n) == ref[-1]
+        assert recall_at_n(q, db, 1) == ref[0]
+        res = average_recall([q], [db])
+        cutoff = one_percent_cutoff(len(db))
+        assert res["ar_at_1"] == reference_recall_at_n(q, db, 1)
+        assert res["ar_at_1pct"] == reference_recall_at_n(q, db, cutoff)
+        assert res["pairings"][0]["curve"].tolist() == [
+            reference_recall_at_n(q, db, n) for n in range(1, len(db) + 1)]
+
+    def test_fixtures_cover_ties_clamping_and_no_queries(self):
+        cases = [random_pairing(seed) for seed in range(30)]
+        assert any(len(q) == 0 for q, _, _ in cases)
+        assert any(max_n > len(db) for _, db, max_n in cases)
+        ties = 0
+        for q, db, _ in cases:
+            for desc in q.descriptors:
+                d = np.linalg.norm(db.descriptors - desc, axis=1)
+                ties += len(d) - len(np.unique(d))
+        assert ties > 0
+
+    def test_clamping_warns_once(self):
+        q, db, _ = random_pairing(1)
+        with pytest.warns(UserWarning) as record:
+            recall_curve(q, db, len(db) + 5)
+        assert len(record) == 1
+
+    def test_n_below_one_rejected_without_queries(self):
+        db = make_db([0.0, 1.0], [0.0, 0.0], [1, 2])
+        for q in (make_db(np.empty((0, 1)), [], []), make_db([0.0], [0.0], [9])):
+            for n in (0, -1):
+                with pytest.raises(ValueError):
+                    recall_at_n(q, db, n)
+
+    def test_eval_ranks_each_query_once_per_pairing(self, tmp_path,
+                                                    monkeypatch, rng):
+        paths = []
+        for r, (n, first_id) in enumerate([(7, 0), (5, 100), (4, 200)]):
+            db = make_db(rng.normal(size=(n, 3)), rng.uniform(0, 100, n),
+                         np.arange(first_id, first_id + n))
+            paths.append(str(tmp_path / f"run{r}.db"))
+            save_database(paths[-1], db)
+        calls, ranking = [], evaluate._ranking
+
+        def counting(db, q):
+            calls.append(len(db))
+            return ranking(db, q)
+
+        monkeypatch.setattr(evaluate, "_ranking", counting)
+        code = cli.main(["eval", "--db", paths[0], "--query", paths[1],
+                         paths[2], "--out", str(tmp_path / "r.csv")])
+        assert code == cli.EXIT_OK
+        # (run1 vs run0) then (run2 vs run0): one ranking per query
+        assert calls == [7] * 5 + [7] * 4
 
 
 class TestAverageRecall:

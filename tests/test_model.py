@@ -160,7 +160,7 @@ class TestBackbone:
         x1 = bb.block1(x)
         x2 = bb.block2(x1)
         x3 = bb.block3(x2)
-        top = bb.tconv3(bb.lateral3(x3))
+        top = sparse_transposed_conv(bb.lateral3(x3), bb.tconv3.weight)
         expect = {tuple(c) for c in x2.coords.tolist()}
         expect |= {tuple(c) for c in top.coords.tolist()}
         fmap = bb(st)
@@ -187,7 +187,8 @@ class TestBackbone:
                 w = _compose(bb.lateral3.weight, bb.tconv3.weight, tape)
                 top = sparse_transposed_conv(leaf, w, tape=tape)
             else:
-                top = bb.tconv3(bb.lateral3(leaf, tape), tape)
+                top = sparse_transposed_conv(bb.lateral3(leaf, tape),
+                                             bb.tconv3.weight, tape=tape)
             tape.backward(top.fvar, mix)
             return [top.features, bb.lateral3.weight.grad,
                     bb.tconv3.weight.grad, leaf.fvar.grad]

@@ -14,6 +14,7 @@ from sparseloc import (Adam, AugmentConfig, Dataset, MinkLoc, ModelConfig,
                        mined_triplet_loss, partition_epoch, train,
                        triplet_margin_loss)
 from sparseloc.autodiff import Tape
+from sparseloc.data import TrainingTuple
 from sparseloc.errors import NumericError, ShapeError
 from sparseloc.train import lr_for_epoch, pairwise_distances
 from conftest import TINY_CFG
@@ -72,6 +73,33 @@ class TestMasks:
         assert np.array_equal(masks.positive, masks.positive.T)
         assert not np.any(np.diag(masks.positive))
         assert not np.any(np.diag(masks.negative))
+
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_pairwise_loop(self, seed):
+        # random sets, some naming ids that are not in the batch at all; odd
+        # seeds repeat ids within the batch
+        rng = np.random.default_rng(seed)
+        universe = rng.permutation(200)[:int(rng.integers(2, 40))]
+        tuples = {}
+        for rid in universe.tolist():
+            pos = rng.choice(300, size=int(rng.integers(0, 10)), replace=False)
+            extra = rng.choice(300, size=int(rng.integers(0, 10)), replace=False)
+            tuples[rid] = TrainingTuple(rid, set(pos.tolist()),
+                                        set(pos.tolist()) | set(extra.tolist()))
+        batch = rng.choice(universe, size=int(rng.integers(1, len(universe) + 1)),
+                           replace=bool(seed % 2)).tolist()
+        n = len(batch)
+        pos = np.zeros((n, n), dtype=bool)
+        neg = np.zeros((n, n), dtype=bool)
+        for i, a in enumerate(batch):
+            for j, b in enumerate(batch):
+                if i != j:
+                    pos[i, j] = b in tuples[a].positives
+                    neg[i, j] = b not in tuples[a].non_negatives and b != a
+        masks = compute_masks(batch, tuples)
+        assert np.array_equal(masks.positive, pos)
+        assert np.array_equal(masks.negative, neg)
 
 
 class TestMining:
@@ -159,6 +187,49 @@ class TestMinedLoss:
         stepped = Var(emb.value - 1e-3 * emb.grad)
         loss2, _ = mined_triplet_loss(None, stepped, triplets, margin=5.0)
         assert float(loss2.value) < float(loss.value)
+
+
+def reference_triplet_loss(emb, triplets, margin):
+    """Per-triplet loop: mean hinge over active triplets and its gradient."""
+    eps = 1e-12
+    total, active, ge = 0.0, 0, np.zeros_like(emb)
+    records = []
+    for a, p, n in triplets:
+        dap = np.linalg.norm(emb[a] - emb[p])
+        dan = np.linalg.norm(emb[a] - emb[n])
+        if dap - dan + margin > 0.0:
+            total += dap - dan + margin
+            active += 1
+            records.append((a, p, n, dap, dan))
+    for a, p, n, dap, dan in records:
+        uap = (emb[a] - emb[p]) / max(dap, eps)
+        uan = (emb[a] - emb[n]) / max(dan, eps)
+        ge[a] += (uap - uan) / active
+        ge[p] -= uap / active
+        ge[n] += uan / active
+    return (total / active if active else 0.0), active, ge
+
+
+class TestMinedLossOracle:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_value_and_gradient_match_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        emb = rng.normal(size=(n, 4))
+        # indices repeat across triplets, so gradients accumulate per row
+        triplets = [tuple(rng.choice(n, size=3, replace=False).tolist())
+                    for _ in range(int(rng.integers(1, 3 * n)))]
+        margin = float(rng.uniform(0.0, 1.5))
+        want, want_active, want_grad = reference_triplet_loss(emb, triplets,
+                                                              margin)
+        var = Var(emb.copy())
+        tape = Tape()
+        loss, active = mined_triplet_loss(tape, var, triplets, margin)
+        assert active == want_active
+        assert abs(float(loss.value) - want) <= 1e-12
+        if active:
+            tape.backward(loss)
+            assert np.max(np.abs(var.grad - want_grad)) <= 1e-12
 
 
 class TestPartition:
