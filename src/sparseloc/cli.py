@@ -20,7 +20,7 @@ import numpy as np
 from . import data as data_io
 from . import evaluate as ev
 from .errors import (DatasetError, EmptyInput, FormatError, NumericError,
-                     SparselocError)
+                     ShapeError, SparselocError)
 from .gradcheck import run_suite
 from .model import (Descriptor, MinkLoc, ModelConfig, compute_descriptor,
                     load_checkpoint, save_checkpoint)
@@ -280,8 +280,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
-    except (FormatError, DatasetError, EmptyInput, FileNotFoundError,
-            ValueError) as exc:
+    except (FormatError, DatasetError, EmptyInput, ShapeError,
+            FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetError, EmptyInput, FormatError
+from .errors import DatasetError, EmptyInput, FormatError, ShapeError
 
 _DB_MAGIC = b"SLDESC1\n"
 
@@ -26,7 +26,7 @@ class DescriptorDatabase:
 
     def __init__(self, descriptors: np.ndarray, northing: np.ndarray,
                  easting: np.ndarray, ids: np.ndarray):
-        self.descriptors = np.asarray(descriptors, dtype=np.float64)
+        self.descriptors = np.ascontiguousarray(descriptors, dtype=np.float64)
         if self.descriptors.ndim != 2:
             self.descriptors = self.descriptors.reshape(len(ids), -1)
         self.northing = np.asarray(northing, dtype=np.float64)
@@ -43,9 +43,22 @@ class DescriptorDatabase:
         return self.descriptors.shape[1]
 
 
+_BLOCK = 64                  # queries per GEMM screen
+_U = 2.0 ** -53              # unit roundoff of float64
+_ETA = 2.0 ** -1074          # smallest subnormal float64
+_SQUARE_LIMIT = np.finfo(np.float64).max / 8
+
+
+def _distances(descriptors: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise ``norm(descriptors - q)``: the distance every rank is
+    decided on.  Each row's value depends only on that row, so rows
+    gathered from a C-contiguous database give the same bits."""
+    return np.linalg.norm(descriptors - q, axis=1)
+
+
 def _ranking(db: DescriptorDatabase, q: np.ndarray):
     """Database rows in (distance, id) order, and every row's distance."""
-    d = np.linalg.norm(db.descriptors - q, axis=1)
+    d = _distances(db.descriptors, q)
     return np.lexsort((db.ids, d)), d
 
 
@@ -56,36 +69,136 @@ def knn(db: DescriptorDatabase, query: np.ndarray, k: int):
     """
     if len(db) == 0:
         raise EmptyInput("empty descriptor database")
+    query = np.asarray(query, dtype=np.float64).reshape(-1)
+    if query.size != db.dim:
+        raise ShapeError(f"query descriptor has dimension {query.size}, "
+                         f"database has dimension {db.dim}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > len(db):
         raise ValueError(f"k={k} exceeds database size {len(db)}")
-    order, d = _ranking(db, np.asarray(query, dtype=np.float64).reshape(-1))
+    order, d = _ranking(db, query)
     return db.ids[order[:k]], d[order[:k]]
+
+
+def _screen_block(db: DescriptorDatabase, sq_db: np.ndarray, desc: np.ndarray,
+                  north: np.ndarray, east: np.ndarray,
+                  radius: float) -> np.ndarray:
+    """0-based rank under ``_ranking`` of each query's first database entry
+    within ``radius`` (len(db) for none), for a block of queries.
+
+    One GEMM screens the block; the exact distance is computed only where
+    the screen cannot decide.  For a query q and an entry x of dimension n,
+    D = ||q - x||^2.  The screen is s = fl(fl(||q||^2 + ||x||^2) - 2 q.x);
+    the exact path is e = fl(sqrt(S)), S the computed sum of
+    fl(fl(x_j - q_j)^2).  Let u = 2^-53, eta = 2^-1074 and gamma_k =
+    ku/(1 - ku).  Under gradual underflow a product is off by at most eta/2
+    absolute, so an n-term dot product in any order obeys
+    |fl(a.b) - a.b| <= gamma_n |a|.|b| + n eta (Higham, Accuracy and
+    Stability of Numerical Algorithms, s3.1), and |q|.|x| <= ||q|| ||x||
+    (Cauchy-Schwarz).  Three dot products and two more roundings give
+    |s - D| <= gamma_{n+2} (||q|| + ||x||)^2 + 6n eta; three roundings per
+    term and n - 1 additions give |S - D| <= gamma_{n+2} D + n eta.  As
+    D <= (||q|| + ||x||)^2 <= 2(||q||^2 + ||x||^2),
+
+      |S - s| <= 4 gamma_{n+2} (||q||^2 + ||x||^2) + 7n eta.
+
+    The computed A = fl(||q||^2 + ||x||^2) is at least
+    (1 - gamma_n)(||q||^2 + ||x||^2)/(1 + u) - 2n eta, so for (n + 2)u <=
+    1/100 the band W = fl(5(n + 2)u A + 9n eta) bounds |S - s| even after
+    its own two roundings.  sqrt is correctly rounded, so
+    e = sqrt(S)(1 + delta), and three more roundings each way leave
+
+      lo = sqrt(max(s - W, 0))(1 - 4u)  <=  e  <=  sqrt(s + W)(1 + 4u) = hi.
+
+    The exact sums stay below about 2A, so a block whose largest squared
+    norms are NaN, inf or sum past max/8, where the exact path could
+    overflow, is ranked with ``_ranking`` instead.
+
+    The first hit is the (e, id)-least among the hits with lo <= the least
+    hi over hits.  Its rank counts the rows with hi < its e, plus the rows
+    whose [lo, hi] holds its e that precede it under (e, id).
+    """
+    n_db, dim = db.descriptors.shape
+    hit = np.sqrt((db.northing - north[:, None]) ** 2
+                  + (db.easting - east[:, None]) ** 2) <= radius
+    first = np.full(len(desc), n_db)
+    sq_q = np.einsum("ij,ij->i", desc, desc)
+    if not sq_q.max() + sq_db.max() <= _SQUARE_LIMIT:
+        for i, q in enumerate(desc):
+            order, _ = _ranking(db, q)
+            hits = np.flatnonzero(hit[i, order])
+            if hits.size:
+                first[i] = hits[0]
+        return first
+    both = sq_q[:, None] + sq_db
+    s = desc @ db.descriptors.T
+    s *= -2.0
+    s += both
+    band = both
+    band *= 5 * (dim + 2) * _U
+    band += 9 * dim * _ETA
+    hi = np.sqrt(s + band)
+    hi *= 1 + 4 * _U
+    lo = np.subtract(s, band, out=s)
+    np.maximum(lo, 0.0, out=lo)
+    np.sqrt(lo, out=lo)
+    lo *= 1 - 4 * _U
+
+    # the first hit, from the hits that could be it
+    nearest_hit = np.where(hit, hi, np.inf).min(axis=1)
+    qi, rows = np.nonzero(hit & (lo <= nearest_hit[:, None]))
+    e = _distances(db.descriptors[rows], desc[qi])
+    order = np.lexsort((db.ids[rows], e, qi))
+    found, lead = np.unique(qi[order], return_index=True)
+    lead = order[lead]
+    d_first = np.full(len(desc), -np.inf)
+    d_first[found] = e[lead]
+    id_first = np.zeros(len(desc), dtype=db.ids.dtype)
+    id_first[found] = db.ids[rows[lead]]
+
+    # its rank: rows surely before it, plus those the band leaves open
+    rank = np.count_nonzero(hi < d_first[:, None], axis=1)
+    qi, rows = np.nonzero((lo <= d_first[:, None]) & (hi >= d_first[:, None]))
+    e = _distances(db.descriptors[rows], desc[qi])
+    ahead = (e < d_first[qi]) | ((e == d_first[qi])
+                                 & (db.ids[rows] < id_first[qi]))
+    rank += np.bincount(qi[ahead], minlength=len(desc))
+    first[found] = rank[found]
+    return first
+
+
+def _first_hits(queries: DescriptorDatabase, db: DescriptorDatabase,
+                radius: float) -> np.ndarray:
+    """Each query's first-hit rank, screening _BLOCK queries at a time."""
+    sq_db = np.einsum("ij,ij->i", db.descriptors, db.descriptors)
+    first = np.empty(len(queries), dtype=np.int64)
+    for start in range(0, len(queries), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        first[block] = _screen_block(db, sq_db, queries.descriptors[block],
+                                     queries.northing[block],
+                                     queries.easting[block], radius)
+    return first
 
 
 def recall_curve(queries: DescriptorDatabase, db: DescriptorDatabase,
                  max_n: int, cfg: EvalConfig | None = None) -> np.ndarray:
     """recall_at_n for n = 1..max_n, n clamped to len(db).  Each query is
-    ranked once; the ranks of its first hit (len(db) for none) are counted
-    into one cumulative histogram."""
+    screened once, in blocks (see ``_screen_block``); the ranks of its first
+    hit (len(db) for none) are counted into one cumulative histogram."""
     cfg = cfg or EvalConfig()
     if len(db) == 0:
         raise EmptyInput("empty descriptor database")
+    if queries.dim != db.dim:
+        raise ShapeError(f"query descriptors have dimension {queries.dim}, "
+                         f"database has dimension {db.dim}")
     if np.isin(queries.ids, db.ids).any():
         raise DatasetError("query and database ids overlap")
     if max_n < 1:
         raise ValueError(f"n must be >= 1, got {max_n}")
     if max_n > len(db):
         warnings.warn(f"n={max_n} clamped to database size {len(db)}", stacklevel=2)
-    first = np.full(len(queries), len(db))
-    for qi in range(len(queries)):
-        order, _ = _ranking(db, queries.descriptors[qi])
-        geo = np.sqrt((db.northing[order] - queries.northing[qi]) ** 2
-                      + (db.easting[order] - queries.easting[qi]) ** 2)
-        hits = np.flatnonzero(geo <= cfg.success_radius)
-        if hits.size:
-            first[qi] = hits[0]
+    first = _first_hits(queries, db, cfg.success_radius)
     hits_within = np.cumsum(np.bincount(first, minlength=len(db) + 1))
     n = np.minimum(np.arange(max_n), len(db) - 1)
     return hits_within[n] / max(len(queries), 1)

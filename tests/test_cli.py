@@ -217,6 +217,21 @@ class TestPipeline:
         assert "Traceback" not in captured.err
 
 
+    def test_query_dimension_mismatch_is_2(self, pipeline, capsys):
+        db_path = str(pipeline["base"] / "dim5.db")
+        save_database(db_path, DescriptorDatabase(
+            np.ones((6, 5)), np.zeros(6), np.zeros(6), np.arange(6)))
+        cloud = os.path.join(pipeline["root"], "place000_rev00.bin")
+        code = run(["query", "--config", pipeline["cfg"],
+                    "--checkpoint", pipeline["ckpt"], "--db", db_path,
+                    "--cloud", cloud])
+        assert code == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "dimension 3" in captured.err and "dimension 5" in captured.err
+
+
 class TestQueryCloudErrors:
     @pytest.fixture
     def query(self, pipeline, tmp_path):
@@ -290,3 +305,19 @@ class TestEvalDatabaseErrors:
         assert captured.err.startswith("error: ")
         assert bad in captured.err
         assert "Traceback" not in captured.err
+
+
+def test_eval_dimension_mismatch_is_2(tmp_path, capsys):
+    paths = []
+    for r, dim in enumerate((3, 4)):
+        db = DescriptorDatabase(np.ones((3, dim)), np.zeros(3), np.zeros(3),
+                                np.arange(3) + 10 * r)
+        paths.append(str(tmp_path / f"run{r}.db"))
+        save_database(paths[-1], db)
+    code = run(["eval", "--db", paths[0], "--query", paths[1],
+                "--out", str(tmp_path / "r.csv")])
+    assert code == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "dimension 4" in captured.err and "dimension 3" in captured.err

@@ -9,7 +9,7 @@ from sparseloc import (DescriptorDatabase, EvalConfig, average_recall, cli,
                        knn, load_database, one_percent_cutoff, recall_at_n,
                        recall_curve, save_database)
 from sparseloc import evaluate
-from sparseloc.errors import DatasetError, EmptyInput
+from sparseloc.errors import DatasetError, EmptyInput, ShapeError
 from sparseloc.evaluate import cross_run_pairings
 
 
@@ -73,6 +73,11 @@ class TestKnn:
         with pytest.raises(DatasetError):
             make_db([0.0, 1.0], [0, 0], [5, 5])
 
+    def test_dimension_mismatch_names_both(self, rng):
+        db = make_db(rng.normal(size=(4, 3)), np.zeros(4), np.arange(4))
+        with pytest.raises(ShapeError, match="dimension 4.*dimension 3"):
+            knn(db, rng.normal(size=4), k=1)
+
 
 class TestRecall:
     def _fixture(self):
@@ -132,6 +137,12 @@ class TestRecall:
         q = make_db([0.0], [0.0], [0])
         with pytest.raises(EmptyInput):
             recall_at_n(q, empty, 1)
+
+    def test_dimension_mismatch_names_both(self, rng):
+        db = make_db(rng.normal(size=(4, 3)), np.zeros(4), np.arange(4))
+        q = make_db(rng.normal(size=(2, 5)), np.zeros(2), [10, 11])
+        with pytest.raises(ShapeError, match="dimension 5.*dimension 3"):
+            recall_curve(q, db, 1)
 
     def test_success_radius_config(self):
         db = self._fixture()
@@ -219,18 +230,142 @@ class TestRankedProtocol:
                          np.arange(first_id, first_id + n))
             paths.append(str(tmp_path / f"run{r}.db"))
             save_database(paths[-1], db)
-        calls, ranking = [], evaluate._ranking
+        calls, screen = [], evaluate._screen_block
 
-        def counting(db, q):
-            calls.append(len(db))
-            return ranking(db, q)
+        def counting(db, sq_db, desc, *rest):
+            calls.append((len(db), len(desc)))
+            return screen(db, sq_db, desc, *rest)
 
-        monkeypatch.setattr(evaluate, "_ranking", counting)
+        monkeypatch.setattr(evaluate, "_screen_block", counting)
         code = cli.main(["eval", "--db", paths[0], "--query", paths[1],
                          paths[2], "--out", str(tmp_path / "r.csv")])
         assert code == cli.EXIT_OK
-        # (run1 vs run0) then (run2 vs run0): one ranking per query
-        assert calls == [7] * 5 + [7] * 4
+        # (run1 vs run0) then (run2 vs run0): each query screened once
+        assert calls == [(7, 5), (7, 4)]
+
+
+def clustered_pairing(seed, n_places=200, n_queries=None, dim=256):
+    """Two runs of geo-tagged descriptors clustered by place, places 20 m
+    apart, as in the benchmark's retrieve workload."""
+    rng = np.random.default_rng(seed)
+    centers = np.abs(rng.normal(size=(n_places, dim)))
+    route = 20.0 * np.arange(n_places)
+    runs = []
+    for r in range(2):
+        runs.append((np.abs(centers + 0.9 * rng.normal(size=centers.shape)),
+                     route + rng.uniform(-2, 2, n_places),
+                     rng.uniform(-2, 2, n_places), r * 1000 + np.arange(n_places)))
+    n_q = n_places if n_queries is None else n_queries
+    q = DescriptorDatabase(*(col[:n_q] for col in runs[0]))
+    return q, DescriptorDatabase(*runs[1])
+
+
+def first_hits_under(order_of, queries, db, radius=25.0):
+    """Each query's first geo-hit rank, database rows in order_of(q)."""
+    first = np.full(len(queries), len(db))
+    for qi in range(len(queries)):
+        order = order_of(queries.descriptors[qi])
+        geo = np.sqrt((db.northing[order] - queries.northing[qi]) ** 2
+                      + (db.easting[order] - queries.easting[qi]) ** 2)
+        hits = np.flatnonzero(geo <= radius)
+        if hits.size:
+            first[qi] = hits[0]
+    return first
+
+
+def ranked_first_hits(queries, db):
+    """The per-query protocol: a full _ranking per query."""
+    return first_hits_under(lambda q: evaluate._ranking(db, q)[0], queries, db)
+
+
+def gemm_first_hits(queries, db):
+    """The same with unbounded GEMM-form distances ||q||^2 + ||x||^2 - 2q.x."""
+    sq_db = np.sum(db.descriptors ** 2, axis=1)
+    return first_hits_under(
+        lambda q: np.lexsort((db.ids, q @ q + sq_db - 2 * (db.descriptors @ q))),
+        queries, db)
+
+
+def rescaled(db, transform):
+    return DescriptorDatabase(transform(db.descriptors), db.northing,
+                              db.easting, db.ids)
+
+
+class TestBlockScreen:
+    """The blocked GEMM screen gives the per-query _ranking ranks exactly."""
+
+    def assert_exact(self, q, db):
+        assert np.array_equal(evaluate._first_hits(q, db, 25.0),
+                              ranked_first_hits(q, db))
+
+    def test_clustered(self):
+        self.assert_exact(*clustered_pairing(0))
+
+    def test_integer_ties(self):
+        q, db = clustered_pairing(1, dim=4)
+        q, db = rescaled(q, np.round), rescaled(db, np.round)
+        d = np.linalg.norm(db.descriptors[:, None] - q.descriptors, axis=2)
+        assert len(np.unique(d)) < d.size // 10   # exact ties are common
+        self.assert_exact(q, db)
+
+    def test_large_common_offset(self):
+        q, db = clustered_pairing(2, n_places=100)
+        shift = lambda x: 1e4 + 1e-3 * x
+        q, db = rescaled(q, shift), rescaled(db, shift)
+        # the GEMM form alone orders these differently
+        assert not np.array_equal(gemm_first_hits(q, db), ranked_first_hits(q, db))
+        self.assert_exact(q, db)
+
+    def test_subnormal_squares(self):
+        q, db = clustered_pairing(3, n_places=100)
+        q, db = rescaled(q, lambda x: 1e-160 * x), rescaled(db, lambda x: 1e-160 * x)
+        assert np.all(db.descriptors ** 2 < np.finfo(float).tiny)
+        self.assert_exact(q, db)
+
+    def test_overflowing_squares(self):
+        q, db = clustered_pairing(4, n_places=100)
+        q, db = rescaled(q, lambda x: 1e160 * x), rescaled(db, lambda x: 1e160 * x)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.sum(db.descriptors ** 2, axis=1)).all()
+            self.assert_exact(q, db)
+
+    def test_nan_in_database(self):
+        q, db = clustered_pairing(5, n_places=100)
+        db.descriptors[7, 3] = np.nan
+        self.assert_exact(q, db)
+
+    @pytest.mark.parametrize("n_q", [0, 63, 64, 65])
+    def test_block_boundaries(self, n_q, monkeypatch):
+        q, db = clustered_pairing(6, n_places=80, n_queries=n_q)
+        sizes, screen = [], evaluate._screen_block
+
+        def counting(db, sq_db, desc, *rest):
+            sizes.append(len(desc))
+            return screen(db, sq_db, desc, *rest)
+
+        monkeypatch.setattr(evaluate, "_screen_block", counting)
+        self.assert_exact(q, db)
+        assert sizes == [64] * (n_q // 64) + [n_q % 64] * (n_q % 64 > 0)
+
+    def test_query_without_hit(self):
+        q, db = clustered_pairing(7, n_places=100)
+        q.northing[[3, 50]] = 1e6
+        first = evaluate._first_hits(q, db, 25.0)
+        assert first[3] == first[50] == len(db)
+        self.assert_exact(q, db)
+
+    def test_few_exact_rows_per_query(self, monkeypatch):
+        q, db = clustered_pairing(8, n_places=400)
+        rows, distances = [], evaluate._distances
+
+        def counting(descriptors, q):
+            out = distances(descriptors, q)
+            rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(evaluate, "_distances", counting)
+        recall_curve(q, db, 5)
+        assert sum(rows) <= 8 * len(q)
 
 
 class TestAverageRecall:
