@@ -34,6 +34,10 @@ class DescriptorDatabase:
         self.ids = np.asarray(ids, dtype=np.int64)
         if len(np.unique(self.ids)) != len(self.ids):
             raise DatasetError("duplicate ids in descriptor database")
+        if not np.isfinite(self.descriptors).all():
+            row = np.flatnonzero(~np.isfinite(self.descriptors).all(axis=1))[0]
+            raise DatasetError(
+                f"descriptor of id {self.ids[row]} is NaN or infinite")
 
     def __len__(self):
         return len(self.ids)
@@ -65,7 +69,11 @@ def _ranking(db: DescriptorDatabase, q: np.ndarray):
 def knn(db: DescriptorDatabase, query: np.ndarray, k: int):
     """Exact k nearest neighbours by Euclidean distance, ties by lower id.
 
-    Returns (ids, distances) in ascending distance order.
+    Returns (ids, distances) in ascending distance order, the first k of
+    ``_ranking``.  Every row gets an interval from ``_intervals``; with U
+    the k-th least upper bound, k rows have e <= U, so every row of the top
+    k or tied with its last has lo <= e <= U.  Only those rows get an exact
+    distance.
     """
     if len(db) == 0:
         raise EmptyInput("empty descriptor database")
@@ -73,32 +81,42 @@ def knn(db: DescriptorDatabase, query: np.ndarray, k: int):
     if query.size != db.dim:
         raise ShapeError(f"query descriptor has dimension {query.size}, "
                          f"database has dimension {db.dim}")
+    if not np.isfinite(query).all():
+        raise ValueError("query descriptor is not finite")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > len(db):
         raise ValueError(f"k={k} exceeds database size {len(db)}")
-    order, d = _ranking(db, query)
-    return db.ids[order[:k]], d[order[:k]]
+    sq_db = np.einsum("ij,ij->i", db.descriptors, db.descriptors)
+    bounds = _intervals(db.descriptors, sq_db, query[None],
+                        np.array([query @ query]))
+    if bounds is None:
+        order, d = _ranking(db, query)
+        return db.ids[order[:k]], d[order[:k]]
+    lo, hi = bounds[0][0], bounds[1][0]
+    rows = np.flatnonzero(lo <= np.partition(hi, k - 1)[k - 1])
+    e = _distances(db.descriptors[rows], query)
+    order = np.lexsort((db.ids[rows], e))[:k]
+    return db.ids[rows[order]], e[order]
 
 
-def _screen_block(db: DescriptorDatabase, sq_db: np.ndarray, desc: np.ndarray,
-                  north: np.ndarray, east: np.ndarray,
-                  radius: float) -> np.ndarray:
-    """0-based rank under ``_ranking`` of each query's first database entry
-    within ``radius`` (len(db) for none), for a block of queries.
+def _intervals(descriptors: np.ndarray, sq_db: np.ndarray, desc: np.ndarray,
+               sq_q: np.ndarray):
+    """(lo, hi), each (queries, rows): an interval around every exact
+    distance e = ``_distances(descriptors, q)``, from one GEMM.  None when
+    the squared norms are NaN, inf or too large to bound.
 
-    One GEMM screens the block; the exact distance is computed only where
-    the screen cannot decide.  For a query q and an entry x of dimension n,
-    D = ||q - x||^2.  The screen is s = fl(fl(||q||^2 + ||x||^2) - 2 q.x);
-    the exact path is e = fl(sqrt(S)), S the computed sum of
-    fl(fl(x_j - q_j)^2).  Let u = 2^-53, eta = 2^-1074 and gamma_k =
-    ku/(1 - ku).  Under gradual underflow a product is off by at most eta/2
-    absolute, so an n-term dot product in any order obeys
-    |fl(a.b) - a.b| <= gamma_n |a|.|b| + n eta (Higham, Accuracy and
-    Stability of Numerical Algorithms, s3.1), and |q|.|x| <= ||q|| ||x||
-    (Cauchy-Schwarz).  Three dot products and two more roundings give
-    |s - D| <= gamma_{n+2} (||q|| + ||x||)^2 + 6n eta; three roundings per
-    term and n - 1 additions give |S - D| <= gamma_{n+2} D + n eta.  As
+    For a query q and an entry x of dimension n, D = ||q - x||^2.  The
+    screen is s = fl(fl(||q||^2 + ||x||^2) - 2 q.x); the exact path is
+    e = fl(sqrt(S)), S the computed sum of fl(fl(x_j - q_j)^2).  Let
+    u = 2^-53, eta = 2^-1074 and gamma_k = ku/(1 - ku).  Under gradual
+    underflow a product is off by at most eta/2 absolute, so an n-term dot
+    product in any order obeys |fl(a.b) - a.b| <= gamma_n |a|.|b| + n eta
+    (Higham, Accuracy and Stability of Numerical Algorithms, s3.1), and
+    |q|.|x| <= ||q|| ||x|| (Cauchy-Schwarz).  Three dot products and two
+    more roundings give |s - D| <= gamma_{n+2} (||q|| + ||x||)^2 + 6n eta;
+    three roundings per term and n - 1 additions give
+    |S - D| <= gamma_{n+2} D + n eta.  As
     D <= (||q|| + ||x||)^2 <= 2(||q||^2 + ||x||^2),
 
       |S - s| <= 4 gamma_{n+2} (||q||^2 + ||x||^2) + 7n eta.
@@ -111,28 +129,14 @@ def _screen_block(db: DescriptorDatabase, sq_db: np.ndarray, desc: np.ndarray,
 
       lo = sqrt(max(s - W, 0))(1 - 4u)  <=  e  <=  sqrt(s + W)(1 + 4u) = hi.
 
-    The exact sums stay below about 2A, so a block whose largest squared
-    norms are NaN, inf or sum past max/8, where the exact path could
-    overflow, is ranked with ``_ranking`` instead.
-
-    The first hit is the (e, id)-least among the hits with lo <= the least
-    hi over hits.  Its rank counts the rows with hi < its e, plus the rows
-    whose [lo, hi] holds its e that precede it under (e, id).
+    The exact sums stay below about 2A, so squared norms that are NaN, inf
+    or sum past max/8, where the exact path could overflow, give None.
     """
-    n_db, dim = db.descriptors.shape
-    hit = np.sqrt((db.northing - north[:, None]) ** 2
-                  + (db.easting - east[:, None]) ** 2) <= radius
-    first = np.full(len(desc), n_db)
-    sq_q = np.einsum("ij,ij->i", desc, desc)
     if not sq_q.max() + sq_db.max() <= _SQUARE_LIMIT:
-        for i, q in enumerate(desc):
-            order, _ = _ranking(db, q)
-            hits = np.flatnonzero(hit[i, order])
-            if hits.size:
-                first[i] = hits[0]
-        return first
+        return None
+    dim = descriptors.shape[1]
     both = sq_q[:, None] + sq_db
-    s = desc @ db.descriptors.T
+    s = desc @ descriptors.T
     s *= -2.0
     s += both
     band = both
@@ -144,6 +148,36 @@ def _screen_block(db: DescriptorDatabase, sq_db: np.ndarray, desc: np.ndarray,
     np.maximum(lo, 0.0, out=lo)
     np.sqrt(lo, out=lo)
     lo *= 1 - 4 * _U
+    return lo, hi
+
+
+def _screen_block(db: DescriptorDatabase, sq_db: np.ndarray, desc: np.ndarray,
+                  north: np.ndarray, east: np.ndarray,
+                  radius: float) -> np.ndarray:
+    """0-based rank under ``_ranking`` of each query's first database entry
+    within ``radius`` (len(db) for none), for a block of queries.
+
+    One GEMM screens the block (``_intervals``); the exact distance is
+    computed only where the screen cannot decide.  A block the screen
+    cannot bound is ranked with ``_ranking`` instead.
+
+    The first hit is the (e, id)-least among the hits with lo <= the least
+    hi over hits.  Its rank counts the rows with hi < its e, plus the rows
+    whose [lo, hi] holds its e that precede it under (e, id).
+    """
+    hit = np.sqrt((db.northing - north[:, None]) ** 2
+                  + (db.easting - east[:, None]) ** 2) <= radius
+    first = np.full(len(desc), len(db))
+    bounds = _intervals(db.descriptors, sq_db, desc,
+                        np.einsum("ij,ij->i", desc, desc))
+    if bounds is None:
+        for i, q in enumerate(desc):
+            order, _ = _ranking(db, q)
+            hits = np.flatnonzero(hit[i, order])
+            if hits.size:
+                first[i] = hits[0]
+        return first
+    lo, hi = bounds
 
     # the first hit, from the hits that could be it
     nearest_hit = np.where(hit, hi, np.inf).min(axis=1)
@@ -253,10 +287,14 @@ def cross_run_pairings(runs: list[DescriptorDatabase]):
 # Geo-tags live in a CSV sidecar <path>.geo.csv with header id,northing,easting.
 
 def save_database(path: str, db: DescriptorDatabase):
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(db.descriptors, dtype="<f4")
+    if not np.isfinite(payload).all():
+        raise ValueError(f"{path}: a descriptor is not finite in float32")
     with open(path, "wb") as fh:
         fh.write(_DB_MAGIC)
         fh.write(struct.pack("<II", db.dim, len(db)))
-        fh.write(np.ascontiguousarray(db.descriptors, dtype="<f4").tobytes())
+        fh.write(payload.tobytes())
     with open(path + ".geo.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "northing", "easting"])
@@ -289,5 +327,8 @@ def load_database(path: str) -> DescriptorDatabase:
     if len(ids) != count:
         raise FormatError(f"{sidecar}: geo-tag count differs from descriptors")
     desc = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
-    return DescriptorDatabase(desc.astype(np.float64), np.array(northing),
-                              np.array(easting), np.array(ids))
+    try:
+        return DescriptorDatabase(desc.astype(np.float64), np.array(northing),
+                                  np.array(easting), np.array(ids))
+    except DatasetError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

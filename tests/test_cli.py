@@ -231,6 +231,41 @@ class TestPipeline:
         assert captured.err.startswith("error: ")
         assert "dimension 3" in captured.err and "dimension 5" in captured.err
 
+    def test_query_non_finite_database_is_2(self, pipeline, capsys):
+        db_path = non_finite_database(pipeline["base"] / "nan.db", dim=3)
+        cloud = os.path.join(pipeline["root"], "place000_rev00.bin")
+        code = run(["query", "--config", pipeline["cfg"],
+                    "--checkpoint", pipeline["ckpt"], "--db", db_path,
+                    "--cloud", cloud])
+        assert code == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {db_path}: ")
+
+    def test_embed_past_float32_is_2(self, pipeline, capsys, monkeypatch):
+        huge = DescriptorDatabase(np.full((3, 3), 1e39), np.zeros(3),
+                                  np.zeros(3), np.arange(3))
+        monkeypatch.setattr(cli, "_embed_records", lambda *args, **kw: huge)
+        db_path = pipeline["base"] / "huge.db"
+        code = run(["embed", "--config", pipeline["cfg"],
+                    "--checkpoint", pipeline["ckpt"],
+                    "--index", os.path.join(pipeline["root"], "run_0.csv"),
+                    "--out", str(db_path)])
+        assert code == cli.EXIT_DATA
+        assert "float32" in capsys.readouterr().err
+        assert not db_path.exists()
+        assert not (pipeline["base"] / "huge.db.geo.csv").exists()
+
+
+def non_finite_database(path, dim, first_id=0):
+    """A saved database whose last float32 is then overwritten with NaN."""
+    save_database(str(path), DescriptorDatabase(
+        np.ones((4, dim)), np.zeros(4), np.zeros(4), np.arange(4) + first_id))
+    with open(path, "r+b") as fh:
+        fh.seek(-4, os.SEEK_END)
+        fh.write(np.array(np.nan, dtype="<f4").tobytes())
+    return str(path)
+
 
 class TestQueryCloudErrors:
     @pytest.fixture
@@ -321,3 +356,17 @@ def test_eval_dimension_mismatch_is_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "dimension 4" in captured.err and "dimension 3" in captured.err
+
+
+def test_eval_non_finite_database_is_2(tmp_path, capsys):
+    good = str(tmp_path / "run0.db")
+    save_database(good, DescriptorDatabase(np.ones((3, 3)), np.zeros(3),
+                                           np.zeros(3), np.arange(3)))
+    bad = non_finite_database(tmp_path / "run1.db", dim=3, first_id=10)
+    code = run(["eval", "--db", good, "--query", bad,
+                "--out", str(tmp_path / "r.csv")])
+    assert code == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert "id 13 is NaN or infinite" in captured.err

@@ -1,5 +1,6 @@
 """Nearest-neighbour search and the Recall@N evaluation protocol."""
 
+import os
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from sparseloc import (DescriptorDatabase, EvalConfig, average_recall, cli,
                        knn, load_database, one_percent_cutoff, recall_at_n,
                        recall_curve, save_database)
 from sparseloc import evaluate
-from sparseloc.errors import DatasetError, EmptyInput, ShapeError
+from sparseloc.errors import DatasetError, EmptyInput, FormatError, ShapeError
 from sparseloc.evaluate import cross_run_pairings
 
 
@@ -151,12 +152,11 @@ class TestRecall:
 
 
 def reference_recall_at_n(queries, db, n, radius=25.0):
-    """The protocol rerun for one n: top-n knn per query, then an id lookup."""
+    """The protocol rerun for one n: the top n of a full sort per query."""
     n = min(n, len(db))
     hits = 0
     for qi in range(len(queries)):
-        ids, _ = knn(db, queries.descriptors[qi], n)
-        rows = np.nonzero(np.isin(db.ids, ids))[0]
+        rows = evaluate._ranking(db, queries.descriptors[qi])[0][:n]
         geo = np.sqrt((db.northing[rows] - queries.northing[qi]) ** 2
                       + (db.easting[rows] - queries.easting[qi]) ** 2)
         if np.any(geo <= radius):
@@ -368,6 +368,66 @@ class TestBlockScreen:
         assert sum(rows) <= 8 * len(q)
 
 
+def scaled_pairing(seed, transform, **kwargs):
+    q, db = clustered_pairing(seed, **kwargs)
+    return rescaled(q, transform), rescaled(db, transform)
+
+
+def nan_pairing():
+    q, db = clustered_pairing(5, n_places=100)
+    db.descriptors[7, 3] = np.nan   # after the constructor's check
+    return q, db
+
+
+# TestBlockScreen's fixtures as (query run, database)
+SCREEN_FIXTURES = {
+    "clustered": lambda: clustered_pairing(0),
+    "integer_ties": lambda: scaled_pairing(1, np.round, dim=4),
+    "large_common_offset": lambda: scaled_pairing(
+        2, lambda x: 1e4 + 1e-3 * x, n_places=100),
+    "subnormal_squares": lambda: scaled_pairing(
+        3, lambda x: 1e-160 * x, n_places=100),
+    "overflowing_squares": lambda: scaled_pairing(
+        4, lambda x: 1e160 * x, n_places=100),
+    "nan_in_database": nan_pairing,
+}
+
+
+class TestScreenedKnn:
+    """knn's screen returns exactly the first k of _ranking."""
+
+    @pytest.mark.parametrize("name", sorted(SCREEN_FIXTURES))
+    def test_matches_ranking(self, name):
+        q, db = SCREEN_FIXTURES[name]()
+        with np.errstate(over="ignore"):
+            for query in q.descriptors[:10]:
+                order, d = evaluate._ranking(db, query)
+                for k in (1, 5, 25, len(db)):
+                    ids, dists = knn(db, query, k)
+                    assert np.array_equal(ids, db.ids[order[:k]])
+                    assert np.array_equal(dists, d[order[:k]], equal_nan=True)
+
+    def test_at_most_2k_exact_rows(self, monkeypatch):
+        q, db = clustered_pairing(8, n_places=2000)
+        rows, distances = [], evaluate._distances
+
+        def counting(descriptors, q):
+            out = distances(descriptors, q)
+            rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(evaluate, "_distances", counting)
+        for query in q.descriptors[:20]:
+            knn(db, query, 25)
+        assert len(rows) == 20 and max(rows) <= 2 * 25
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        db = make_db([0.0, 1.0, 3.0], [0, 0, 0], [10, 11, 12])
+        with pytest.raises(ValueError, match="not finite"):
+            knn(db, [bad], k=1)
+
+
 class TestAverageRecall:
     def test_cutoff_values(self):
         assert one_percent_cutoff(50) == 1
@@ -424,3 +484,25 @@ class TestDatabaseIO:
         os.remove(path + ".geo.csv")
         with pytest.raises(FormatError):
             load_database(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_descriptor_rejected(self, bad):
+        with pytest.raises(DatasetError, match="id 11 is NaN or infinite"):
+            make_db([[0.0, 1.0], [2.0, bad]], [0, 0], [10, 11])
+
+    def test_non_finite_file_rejected(self, tmp_path):
+        path = str(tmp_path / "d.db")
+        save_database(path, make_db([[0.0, 1.0], [2.0, 3.0]], [0, 0], [10, 11]))
+        with open(path, "r+b") as fh:
+            fh.seek(-4, os.SEEK_END)
+            fh.write(np.array(np.inf, dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match="id 11 is NaN or infinite") as exc:
+            load_database(path)
+        assert path in str(exc.value)
+
+    @pytest.mark.parametrize("value", [4e38, -1e300])
+    def test_descriptor_past_float32_refused(self, tmp_path, value):
+        db = make_db([[0.0, 1.0], [2.0, value]], [0, 0], [10, 11])
+        with pytest.raises(ValueError, match="float32"):
+            save_database(str(tmp_path / "d.db"), db)
+        assert list(tmp_path.iterdir()) == []
