@@ -32,6 +32,12 @@ class DescriptorDatabase:
         self.northing = np.asarray(northing, dtype=np.float64)
         self.easting = np.asarray(easting, dtype=np.float64)
         self.ids = np.asarray(ids, dtype=np.int64)
+        counts = [len(a) for a in (self.descriptors, self.northing,
+                                   self.easting, self.ids)]
+        if len(set(counts)) > 1:
+            raise DatasetError(
+                "descriptors, northing, easting and ids have different "
+                f"lengths: {', '.join(map(str, counts))}")
         if len(np.unique(self.ids)) != len(self.ids):
             raise DatasetError("duplicate ids in descriptor database")
         if not np.isfinite(self.descriptors).all():

@@ -45,19 +45,16 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
     # its term is one plain GEMM (and the whole conv when K == 1)
     centre = n_off // 2 if stride == 1 and kernel_size % 2 else None
     out = np.zeros((len(out_coords), c_out)) if centre is None else f @ w[centre]
-    used = []
+    segments = []
     if centre is None or n_off > 1:
         kmap = build_kernel_map(x, out_coords, kernel_size,
-                                dilation_stride=x.stride,
                                 cache_key=("conv", kernel_size, stride))
-        for k, off in enumerate(kmap.offsets):
-            hit = kmap.pairs.get(off)
-            if hit is None or k == centre:
-                continue
-            ri, ro = hit
-            # out rows unique within one offset: plain fancy-index add is safe
+        b = kmap.bounds
+        segments = [(k, kmap.rows_in[b[k]:b[k + 1]], kmap.rows_out[b[k]:b[k + 1]])
+                    for k in range(n_off) if k != centre and b[k] < b[k + 1]]
+        for k, ri, ro in segments:
+            # rows unique within one offset: plain fancy-index add is safe
             out[ro] += f[ri] @ w[k]
-            used.append((k, ri, ro))
     yvar = Var(out)
     if tape is not None:
         xvar = x.fvar
@@ -72,7 +69,7 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
             else:
                 gx = g @ w[centre].T
                 gw[centre] = f.T @ g
-            for k, ri, ro in used:
+            for k, ri, ro in segments:
                 gx[ri] += g[ro] @ w[k].T
                 gw[k] += f[ri].T @ g[ro]
             weight.add_grad(gw)
@@ -157,14 +154,9 @@ class BatchNorm:
         else:
             mu, var = self.running_mean, self.running_var
         inv = 1.0 / np.sqrt(var + self.eps)
-        if tape is None:
-            # fused affine: f * (gamma * inv) + (beta - mu * gamma * inv)
-            scale = self.gamma.value * inv
-            out = f * scale + (self.beta.value - mu * scale)
-            return SparseTensor(x.coords, Var(out), stride=x.stride,
-                                validate=False, geom=x._geom)
-        xhat = (f - mu) * inv
-        out = self.gamma.value * xhat + self.beta.value
+        scale = self.gamma.value * inv
+        out = f * scale
+        out += self.beta.value - mu * scale
         yvar = Var(out)
         if tape is not None:
             gamma, beta, xvar = self.gamma, self.beta, x.fvar
@@ -173,13 +165,17 @@ class BatchNorm:
                 g = yvar.grad
                 if g is None:
                     return
-                gamma.add_grad((g * xhat).sum(axis=0))
-                beta.add_grad(g.sum(axis=0))
+                # sum(g * xhat) with xhat = (f - mu) * inv, from f itself
+                g_sum = g.sum(axis=0)
+                g_xhat = inv * (np.einsum("ij,ij->j", g, f) - mu * g_sum)
+                gamma.add_grad(g_xhat)
+                beta.add_grad(g_sum)
+                gx = g * scale
                 if train:
-                    gx = gamma.value * inv * (
-                        g - g.mean(axis=0) - xhat * (g * xhat).mean(axis=0))
-                else:
-                    gx = g * gamma.value * inv
+                    # scale * (g - mean(g) - xhat * mean(g * xhat))
+                    c = scale * inv * g_xhat / n
+                    gx -= f * c
+                    gx += c * mu - scale * g_sum / n
                 xvar.add_grad(gx)
 
             tape.record(backward)

@@ -3,8 +3,9 @@
 The backbone follows the MinkFPN layout: a K=5 stem, three bottom-up blocks
 (stride-2 downsampling conv followed by a two-conv residual block, each conv
 trailed by batch norm + ReLU), then 1x1 lateral projections and a single
-K=2/s=2 transposed conv fused by sparse addition.  The head pools the fused
-feature map into one global descriptor per batch item.
+K=2/s=2 transposed conv, onto whose output the stride-4 lateral is added in
+place.  The head pools the fused feature map into one global descriptor per
+batch item.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ collision-free within the supported coordinate range and fully deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,13 +152,6 @@ class SparseTensor:
         rows = np.where(hit, order[pos_c], -1)
         return rows
 
-    def sorted_by_coord(self) -> "SparseTensor":
-        """Rows reordered by packed key: a canonical, input-order-free layout."""
-        order = np.argsort(self.keys(), kind="stable")
-        out = SparseTensor(self.coords[order], self.fvar.value[order],
-                           self.stride, validate=False)
-        return out
-
 
 def quantize(cloud: PointCloud, step: float, batch: int = 0,
              canonical: bool = False) -> SparseTensor:
@@ -200,25 +193,30 @@ def kernel_offsets(kernel_size: int) -> list[tuple[int, int, int]]:
 
 @dataclass
 class KernelMap:
-    """Per-offset (input_row, output_row) index pairs."""
+    """(input_row, output_row) pairs grouped by offset: offset k owns the
+    flat rows ``bounds[k]:bounds[k + 1]``, and within one offset every input
+    row and every output row occurs at most once."""
 
     offsets: list[tuple[int, int, int]]
-    pairs: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    rows_in: np.ndarray
+    rows_out: np.ndarray
+    bounds: np.ndarray
 
     def pair_count(self) -> int:
-        return sum(len(ri) for ri, _ in self.pairs.values())
+        return len(self.rows_in)
 
     def get(self, offset):
-        return self.pairs.get(tuple(offset))
+        k = self.offsets.index(tuple(offset))
+        lo, hi = self.bounds[k], self.bounds[k + 1]
+        return self.rows_in[lo:hi], self.rows_out[lo:hi]
 
 
 def build_kernel_map(in_tensor: SparseTensor, out_coords: np.ndarray,
-                     kernel_size: int, dilation_stride: int,
-                     cache_key=None) -> KernelMap:
+                     kernel_size: int, cache_key=None) -> KernelMap:
     """Join output voxels against the input index for every kernel offset.
 
     A pair (i, o) is emitted under offset d when the input contains
-    ``out_coords[o] + d * dilation_stride``.  ``cache_key`` memoizes the map
+    ``out_coords[o] + d * in_tensor.stride``.  ``cache_key`` memoizes the map
     on the input tensor's shared geometry; callers must only pass it when
     ``out_coords`` is a pure function of that geometry and the key.
 
@@ -233,59 +231,46 @@ def build_kernel_map(in_tensor: SparseTensor, out_coords: np.ndarray,
     out_coords = np.asarray(out_coords, dtype=np.int64).reshape(-1, 4)
     offsets = kernel_offsets(kernel_size)
     half = len(offsets) // 2
-    search = offsets[:half] if mirror else offsets
-    kmap = KernelMap(offsets=offsets)
-    ds = int(dilation_stride)
+    n_search = half if mirror else len(offsets)
+    ds = in_tensor.stride
     out_keys = pack_coords(out_coords)
     skeys, order = in_tensor._sorted_index()
-    n_in = len(skeys)
-    all_out = np.arange(len(out_coords))
-    deltas = np.array([offset_key_delta(off, ds) for off in offsets])
+    deltas = np.array([offset_key_delta(off, ds) for off in offsets[:n_search]],
+                      dtype=np.int64)
     in_c = in_tensor.coords
-    occ = None
-    if ds == in_tensor.stride and in_c[:, 0].min() == in_c[:, 0].max():
-        # single batch item: try a dense occupancy table so most candidate
-        # (offset, output) pairs resolve with one byte load instead of a
-        # binary search (typical hit rates are only a few percent)
-        ic = in_c[:, 1:] // in_tensor.stride
-        oc = out_coords[:, 1:] // in_tensor.stride
+    hits = None
+    if (in_c[:, 0] == in_c[0, 0]).all() and (out_coords[:, 0] == in_c[0, 0]).all():
+        # one batch item on both sides: try a dense occupancy table so most
+        # candidate (offset, output) pairs resolve with one byte load instead
+        # of a binary search (typical hit rates are only a few percent)
+        ic = in_c[:, 1:] // ds
+        oc = out_coords[:, 1:] // ds
         off_arr = np.asarray(offsets, dtype=np.int64)
         pad = np.abs(off_arr).max(axis=0)
         lo = np.minimum(ic.min(axis=0), oc.min(axis=0)) - pad
         hi = np.maximum(ic.max(axis=0), oc.max(axis=0)) + pad
         dims = hi - lo + 1
         if dims.prod() <= 20_000_000:
-            d1, d2 = int(dims[1]), int(dims[2])
-            sic = ic - lo
-            soc = oc - lo
-            lin_in = (sic[:, 0] * d1 + sic[:, 1]) * d2 + sic[:, 2]
-            lin_out = (soc[:, 0] * d1 + soc[:, 1]) * d2 + soc[:, 2]
+            step = np.array([dims[1] * dims[2], dims[2], 1])
             occ = np.zeros(int(dims.prod()), dtype=np.bool_)
-            occ[lin_in] = True
-    if occ is not None:
-        for k, off in enumerate(search):
-            shift = (off[0] * d1 + off[1]) * d2 + off[2]
-            hit = occ[lin_out + shift]
-            if hit.any():
-                q = out_keys[hit] + deltas[k]
-                pos = np.searchsorted(skeys, q)
-                kmap.pairs[off] = (order[pos], all_out[hit])
-    else:
+            occ[(ic - lo) @ step] = True
+            hits = occ[(off_arr[:n_search] @ step)[:, None] + (oc - lo) @ step]
+    if hits is None:
         # one joint searchsorted over every (offset, output) candidate
-        q = out_keys[None, :] + deltas[:len(search), None]
-        pos = np.searchsorted(skeys, q.ravel()).reshape(q.shape)
-        pos_c = np.minimum(pos, n_in - 1)
-        hits = (pos < n_in) & (skeys[pos_c] == q)
-        for k, off in enumerate(search):
-            hit = hits[k]
-            if hit.any():
-                kmap.pairs[off] = (order[pos_c[k][hit]], all_out[hit])
+        q = out_keys + deltas[:, None]
+        pos = np.minimum(np.searchsorted(skeys, q), len(skeys) - 1)
+        hits = skeys[pos] == q
+    k, ro = np.nonzero(hits)
+    ri = order[np.searchsorted(skeys, out_keys[ro] + deltas[k])]
+    bounds = np.searchsorted(k, np.arange(n_search + 1))
     if mirror:
-        kmap.pairs[offsets[half]] = (all_out, all_out)
-        for k in range(half):
-            hit = kmap.pairs.get(offsets[k])
-            if hit is not None:
-                kmap.pairs[offsets[-1 - k]] = (hit[1], hit[0])
+        # offset len - 1 - j is offset j negated: its pairs are j's swapped,
+        # so the searched segments follow the centre in reverse order
+        flip = np.argsort(-k.astype(np.int16), kind="stable")
+        every = np.arange(len(out_coords))
+        ri, ro = np.concatenate([ri, every, ro[flip]]), np.concatenate([ro, every, ri[flip]])
+        bounds = np.concatenate([bounds, 2 * bounds[-1] + len(every) - bounds[::-1]])
+    kmap = KernelMap(offsets, ri, ro, bounds)
     if cache_key is not None:
         in_tensor._geom.kmaps[cache_key] = kmap
     return kmap

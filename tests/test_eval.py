@@ -74,6 +74,11 @@ class TestKnn:
         with pytest.raises(DatasetError):
             make_db([0.0, 1.0], [0, 0], [5, 5])
 
+    def test_length_mismatch_names_counts(self, rng):
+        with pytest.raises(DatasetError, match="lengths: 4, 4, 4, 3"):
+            DescriptorDatabase(rng.normal(size=(4, 2)), np.zeros(4),
+                               np.zeros(4), np.arange(3))
+
     def test_dimension_mismatch_names_both(self, rng):
         db = make_db(rng.normal(size=(4, 3)), np.zeros(4), np.arange(4))
         with pytest.raises(ShapeError, match="dimension 4.*dimension 3"):

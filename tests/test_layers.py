@@ -180,6 +180,42 @@ class TestBatchNorm:
         out = bn(self._tensor([7.0]), train=False)
         assert np.allclose(out.features, (7.0 - 5.0) / np.sqrt(4.0 + bn.eps))
 
+    @pytest.mark.parametrize("train", [True, False])
+    def test_backward_matches_xhat_formula(self, train):
+        # |mu| / sigma ~ 1e3: the backward's sum(g * f) - mu * sum(g) cancels
+        # about three of float64's sixteen digits
+        rng = np.random.default_rng(7)
+        n, c = 200, 6
+        f = 1e3 + rng.normal(0.0, 1.0, size=(n, c))
+        g = rng.normal(size=(n, c))
+        bn = BatchNorm(c)
+        bn.gamma.value = rng.uniform(0.5, 2.0, size=c)
+        bn.beta.value = rng.normal(size=c)
+        bn.running_mean = 1e3 + rng.normal(size=c)
+        bn.running_var = rng.uniform(0.5, 2.0, size=c)
+        if train:
+            mu, var = f.mean(axis=0), f.var(axis=0)
+        else:
+            mu, var = bn.running_mean, bn.running_var
+        inv = 1.0 / np.sqrt(var + bn.eps)
+        xhat = (f - mu) * inv
+        gamma = bn.gamma.value
+        if train:
+            want_gx = gamma * inv * (
+                g - g.mean(axis=0) - xhat * (g * xhat).mean(axis=0))
+        else:
+            want_gx = g * gamma * inv
+        coords = np.column_stack([np.zeros(n, dtype=int), np.arange(n),
+                                  np.zeros((n, 2), dtype=int)])
+        x = SparseTensor(coords, f.copy())
+        tape = Tape()
+        out = bn(x, tape=tape, train=train)
+        tape.backward(out.fvar, g)
+        for got, want in [(bn.gamma.grad, (g * xhat).sum(axis=0)),
+                          (bn.beta.grad, g.sum(axis=0)),
+                          (x.fvar.grad, want_gx)]:
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
     def test_empty_tensor_rejected(self):
         bn = BatchNorm(1)
         x = SparseTensor(np.array([[0, 0, 0, 0]]), np.array([[1.0]]))

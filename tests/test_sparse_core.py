@@ -105,7 +105,7 @@ class TestKernelOffsets:
 class TestKernelMap:
     def test_identity_kernel_single_pair(self):
         x = make_tensor([[0, 0, 0, 0]])
-        kmap = build_kernel_map(x, x.coords, kernel_size=1, dilation_stride=1)
+        kmap = build_kernel_map(x, x.coords, kernel_size=1)
         ri, ro = kmap.get((0, 0, 0))
         assert ri.tolist() == [0] and ro.tolist() == [0]
         assert kmap.pair_count() == 1
@@ -114,7 +114,7 @@ class TestKernelMap:
         # out (0,0,0): input holds out + (0,0,0) and out + (1,0,0), nothing else
         x = make_tensor([[0, 0, 0, 0], [0, 1, 0, 0]])
         out = np.array([[0, 0, 0, 0]])
-        kmap = build_kernel_map(x, out, kernel_size=3, dilation_stride=1)
+        kmap = build_kernel_map(x, out, kernel_size=3)
         assert kmap.pair_count() == 2
         assert kmap.get((0, 0, 0))[0].tolist() == [0]
         assert kmap.get((1, 0, 0))[0].tolist() == [1]
@@ -122,14 +122,20 @@ class TestKernelMap:
     def test_out_of_reach_is_empty(self):
         x = make_tensor([[0, 0, 0, 0]])
         out = np.array([[0, 2, 2, 2]])
-        kmap = build_kernel_map(x, out, kernel_size=3, dilation_stride=1)
+        kmap = build_kernel_map(x, out, kernel_size=3)
         assert kmap.pair_count() == 0
 
     def test_respects_batch_boundaries(self):
         x = make_tensor([[0, 0, 0, 0], [1, 1, 0, 0]])
         out = np.array([[0, 0, 0, 0]])
-        kmap = build_kernel_map(x, out, kernel_size=3, dilation_stride=1)
+        kmap = build_kernel_map(x, out, kernel_size=3)
         assert kmap.pair_count() == 1  # neighbour in batch 1 must not join
+        # a single-batch input (the dense-occupancy builder) against outputs
+        # of another batch item: no pairs, whichever batch id is larger
+        for in_batch, out_batch in [(0, 1), (1, 0)]:
+            x = make_tensor([[in_batch, 0, 0, 0], [in_batch, 1, 0, 0]])
+            out = np.array([[out_batch, 0, 0, 0]])
+            assert build_kernel_map(x, out, kernel_size=3).pair_count() == 0
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -142,7 +148,7 @@ class TestKernelMap:
         out = coords[rng.random(len(coords)) < 0.7]
         if len(out) == 0:
             out = coords[:1]
-        kmap = build_kernel_map(x, out, kernel_size=3, dilation_stride=1)
+        kmap = build_kernel_map(x, out, kernel_size=3)
         in_set = {tuple(c): i for i, c in enumerate(coords.tolist())}
         expect = 0
         for o, oc in enumerate(out.tolist()):
@@ -157,8 +163,9 @@ class TestKernelMap:
 
 
 def pair_set(kmap):
-    return {(off, i, o) for off, (ri, ro) in kmap.pairs.items()
-            for i, o in zip(ri.tolist(), ro.tolist())}
+    k = np.repeat(np.arange(len(kmap.offsets)), np.diff(kmap.bounds))
+    return {(kmap.offsets[j], i, o) for j, i, o in
+            zip(k.tolist(), kmap.rows_in.tolist(), kmap.rows_out.tolist())}
 
 
 class TestMirroredKernelMap:
@@ -172,12 +179,28 @@ class TestMirroredKernelMap:
             [rng.integers(0, batches, size=400),
              2 * rng.integers(-5, 5, size=(400, 3))]), axis=0)
         x = make_tensor(coords[rng.permutation(len(coords))], stride=2)
-        mirrored = build_kernel_map(x, x.coords, kernel_size, dilation_stride=2)
-        full = build_kernel_map(x, x.coords.copy(), kernel_size,
-                                dilation_stride=2)
+        mirrored = build_kernel_map(x, x.coords, kernel_size)
+        full = build_kernel_map(x, x.coords.copy(), kernel_size)
         assert len(pair_set(full)) > 2 * len(coords)
         assert pair_set(mirrored) == pair_set(full)
         assert mirrored.pair_count() == full.pair_count()
+
+    # sparse_conv's ``out[rows_out] +=`` per offset needs unique rows there
+    @pytest.mark.parametrize("batches", [1, 3])
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_segments_hold_unique_rows(self, mirrored, batches):
+        rng = np.random.default_rng(batches)
+        coords = np.unique(np.column_stack(
+            [rng.integers(0, batches, size=300),
+             rng.integers(-4, 4, size=(300, 3))]), axis=0)
+        x = make_tensor(coords[rng.permutation(len(coords))])
+        kmap = build_kernel_map(x, x.coords if mirrored else x.coords.copy(), 3)
+        b = kmap.bounds
+        assert b[0] == 0 and b[-1] == kmap.pair_count() > len(coords)
+        assert len(b) == len(kmap.offsets) + 1 and np.all(np.diff(b) >= 0)
+        for k in range(len(kmap.offsets)):
+            for rows in (kmap.rows_in[b[k]:b[k + 1]], kmap.rows_out[b[k]:b[k + 1]]):
+                assert len(np.unique(rows)) == len(rows)
 
 
 class TestDownsample:
@@ -218,8 +241,3 @@ class TestSparseTensor:
         rows = x.rows_of(np.array([[0, 3, 1, 2], [0, 9, 9, 9], [0, 0, 0, 0]]))
         assert rows.tolist() == [1, -1, 0]
 
-    def test_sorted_by_coord_is_canonical(self):
-        a = make_tensor([[0, 1, 0, 0], [0, 0, 0, 0]])
-        b = make_tensor([[0, 0, 0, 0], [0, 1, 0, 0]])
-        assert np.array_equal(a.sorted_by_coord().coords,
-                              b.sorted_by_coord().coords)
