@@ -22,28 +22,42 @@ class EvalConfig:
 
 
 class DescriptorDatabase:
-    """Geo-tagged descriptors with unique ids and a uniform dimension."""
+    """Geo-tagged descriptors with unique ids and a uniform dimension.
+
+    ``descriptors`` is the database's own read-only C-contiguous float64
+    copy, so it cannot change once checked.  ``sq_norms`` (read-only too)
+    holds each row's squared norm, computed once here for every search.
+    A 1-D ``descriptors`` is one scalar descriptor per id.
+    """
 
     def __init__(self, descriptors: np.ndarray, northing: np.ndarray,
                  easting: np.ndarray, ids: np.ndarray):
-        self.descriptors = np.ascontiguousarray(descriptors, dtype=np.float64)
-        if self.descriptors.ndim != 2:
-            self.descriptors = self.descriptors.reshape(len(ids), -1)
+        self.ids = np.asarray(ids, dtype=np.int64)
+        desc = np.array(descriptors, dtype=np.float64, order="C")
+        if desc.ndim == 1 and len(desc) == len(self.ids):
+            desc = desc.reshape(-1, 1)
+        if desc.ndim != 2:
+            raise DatasetError(f"descriptors of shape {desc.shape} are not "
+                               f"one row per id for {len(self.ids)} ids")
         self.northing = np.asarray(northing, dtype=np.float64)
         self.easting = np.asarray(easting, dtype=np.float64)
-        self.ids = np.asarray(ids, dtype=np.int64)
-        counts = [len(a) for a in (self.descriptors, self.northing,
-                                   self.easting, self.ids)]
+        counts = [len(a) for a in (desc, self.northing, self.easting,
+                                   self.ids)]
         if len(set(counts)) > 1:
             raise DatasetError(
                 "descriptors, northing, easting and ids have different "
                 f"lengths: {', '.join(map(str, counts))}")
         if len(np.unique(self.ids)) != len(self.ids):
             raise DatasetError("duplicate ids in descriptor database")
-        if not np.isfinite(self.descriptors).all():
-            row = np.flatnonzero(~np.isfinite(self.descriptors).all(axis=1))[0]
-            raise DatasetError(
-                f"descriptor of id {self.ids[row]} is NaN or infinite")
+        sq_norms = np.einsum("ij,ij->i", desc, desc)
+        # a finite norm means a finite row; a square may overflow on its own
+        if not np.isfinite(sq_norms).all():
+            bad = np.flatnonzero(~np.isfinite(desc).all(axis=1))
+            if bad.size:
+                raise DatasetError(
+                    f"descriptor of id {self.ids[bad[0]]} is NaN or infinite")
+        desc.flags.writeable = sq_norms.flags.writeable = False
+        self.descriptors, self.sq_norms = desc, sq_norms
 
     def __len__(self):
         return len(self.ids)
@@ -76,9 +90,10 @@ def knn(db: DescriptorDatabase, query: np.ndarray, k: int):
     """Exact k nearest neighbours by Euclidean distance, ties by lower id.
 
     Returns (ids, distances) in ascending distance order, the first k of
-    ``_ranking``.  Every row gets an interval from ``_intervals``; with U
-    the k-th least upper bound, k rows have e <= U, so every row of the top
-    k or tied with its last has lo <= e <= U.  Only those rows get an exact
+    ``_ranking``.  Every row gets an interval from ``_intervals``, one GEMV
+    against the database with its stored ``sq_norms``; with U the k-th
+    least upper bound, k rows have e <= U, so every row of the top k or
+    tied with its last has lo <= e <= U.  Only those rows get an exact
     distance.
     """
     if len(db) == 0:
@@ -93,8 +108,7 @@ def knn(db: DescriptorDatabase, query: np.ndarray, k: int):
         raise ValueError(f"k must be >= 1, got {k}")
     if k > len(db):
         raise ValueError(f"k={k} exceeds database size {len(db)}")
-    sq_db = np.einsum("ij,ij->i", db.descriptors, db.descriptors)
-    bounds = _intervals(db.descriptors, sq_db, query[None],
+    bounds = _intervals(db.descriptors, db.sq_norms, query[None],
                         np.array([query @ query]))
     if bounds is None:
         order, d = _ranking(db, query)
@@ -211,11 +225,11 @@ def _screen_block(db: DescriptorDatabase, sq_db: np.ndarray, desc: np.ndarray,
 def _first_hits(queries: DescriptorDatabase, db: DescriptorDatabase,
                 radius: float) -> np.ndarray:
     """Each query's first-hit rank, screening _BLOCK queries at a time."""
-    sq_db = np.einsum("ij,ij->i", db.descriptors, db.descriptors)
     first = np.empty(len(queries), dtype=np.int64)
     for start in range(0, len(queries), _BLOCK):
         block = slice(start, start + _BLOCK)
-        first[block] = _screen_block(db, sq_db, queries.descriptors[block],
+        first[block] = _screen_block(db, db.sq_norms,
+                                     queries.descriptors[block],
                                      queries.northing[block],
                                      queries.easting[block], radius)
     return first
@@ -334,7 +348,7 @@ def load_database(path: str) -> DescriptorDatabase:
         raise FormatError(f"{sidecar}: geo-tag count differs from descriptors")
     desc = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
     try:
-        return DescriptorDatabase(desc.astype(np.float64), np.array(northing),
-                                  np.array(easting), np.array(ids))
+        return DescriptorDatabase(desc, np.array(northing), np.array(easting),
+                                  np.array(ids))
     except DatasetError as exc:
         raise FormatError(f"{path}: {exc}") from exc

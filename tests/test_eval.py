@@ -1,6 +1,7 @@
 """Nearest-neighbour search and the Recall@N evaluation protocol."""
 
 import os
+import re
 import warnings
 
 import numpy as np
@@ -83,6 +84,18 @@ class TestKnn:
         db = make_db(rng.normal(size=(4, 3)), np.zeros(4), np.arange(4))
         with pytest.raises(ShapeError, match="dimension 4.*dimension 3"):
             knn(db, rng.normal(size=4), k=1)
+
+    def test_flat_descriptors_are_one_scalar_per_id(self):
+        db = DescriptorDatabase(np.array([0.0, 1.0, 3.0]), np.zeros(3),
+                                np.zeros(3), np.array([10, 11, 12]))
+        assert db.descriptors.tolist() == [[0.0], [1.0], [3.0]]
+
+    @pytest.mark.parametrize("shape", [(7,), (6,), (3, 2, 1)])
+    def test_descriptors_not_one_row_per_id_rejected(self, shape):
+        message = re.escape(f"shape {shape}") + ".* 3 ids"
+        with pytest.raises(DatasetError, match=message):
+            DescriptorDatabase(np.ones(shape), np.zeros(3), np.zeros(3),
+                               np.arange(3))
 
 
 class TestRecall:
@@ -334,11 +347,6 @@ class TestBlockScreen:
             assert np.isinf(np.sum(db.descriptors ** 2, axis=1)).all()
             self.assert_exact(q, db)
 
-    def test_nan_in_database(self):
-        q, db = clustered_pairing(5, n_places=100)
-        db.descriptors[7, 3] = np.nan
-        self.assert_exact(q, db)
-
     @pytest.mark.parametrize("n_q", [0, 63, 64, 65])
     def test_block_boundaries(self, n_q, monkeypatch):
         q, db = clustered_pairing(6, n_places=80, n_queries=n_q)
@@ -378,12 +386,6 @@ def scaled_pairing(seed, transform, **kwargs):
     return rescaled(q, transform), rescaled(db, transform)
 
 
-def nan_pairing():
-    q, db = clustered_pairing(5, n_places=100)
-    db.descriptors[7, 3] = np.nan   # after the constructor's check
-    return q, db
-
-
 # TestBlockScreen's fixtures as (query run, database)
 SCREEN_FIXTURES = {
     "clustered": lambda: clustered_pairing(0),
@@ -394,7 +396,6 @@ SCREEN_FIXTURES = {
         3, lambda x: 1e-160 * x, n_places=100),
     "overflowing_squares": lambda: scaled_pairing(
         4, lambda x: 1e160 * x, n_places=100),
-    "nan_in_database": nan_pairing,
 }
 
 
@@ -431,6 +432,48 @@ class TestScreenedKnn:
         db = make_db([0.0, 1.0, 3.0], [0, 0, 0], [10, 11, 12])
         with pytest.raises(ValueError, match="not finite"):
             knn(db, [bad], k=1)
+
+
+class TestStoredNorms:
+    """A database owns a read-only copy of its descriptors, so the squared
+    norms computed once at construction cannot go stale."""
+
+    def test_descriptors_and_norms_read_only(self, rng):
+        db = make_db(rng.normal(size=(5, 3)), np.zeros(5), np.arange(5))
+        with pytest.raises(ValueError, match="read-only"):
+            db.descriptors[1, 2] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            db.sq_norms[0] = 0.0
+
+    def test_caller_writes_do_not_reach_database(self, rng):
+        descs = rng.normal(size=(50, 8))
+        db = DescriptorDatabase(descs, np.zeros(50), np.zeros(50),
+                                np.arange(50))
+        q = rng.normal(size=8)
+        kept = db.descriptors.copy(), db.sq_norms.copy(), knn(db, q, 5)
+        descs[:] = q
+        descs[7, 3] = np.nan
+        assert np.array_equal(db.descriptors, kept[0])
+        assert np.array_equal(db.sq_norms, kept[1])
+        ids, dists = knn(db, q, 5)
+        assert np.array_equal(ids, kept[2][0])
+        assert np.array_equal(dists, kept[2][1])
+
+    @pytest.mark.parametrize("name", sorted(SCREEN_FIXTURES))
+    def test_norms_match_einsum(self, name):
+        for db in SCREEN_FIXTURES[name]():
+            assert np.array_equal(db.sq_norms, np.einsum(
+                "ij,ij->i", db.descriptors, db.descriptors))
+
+    def test_nan_squared_norm_not_bounded(self, rng):
+        descs = rng.normal(size=(4, 3))
+        q = rng.normal(size=(1, 3))
+        sq_db = np.array([1.0, np.nan, 2.0, 3.0])
+        assert evaluate._intervals(descs, sq_db, q, np.array([1.0])) is None
+
+    def test_refusal_names_nan_row_after_overflowing_row(self):
+        with pytest.raises(DatasetError, match="id 11 is NaN or infinite"):
+            make_db([[1e200, 0.0], [np.nan, 1.0]], [0, 0], [10, 11])
 
 
 class TestAverageRecall:
@@ -471,6 +514,10 @@ class TestDatabaseIO:
         assert np.array_equal(back.ids, db.ids)
         # payload is float32 on disk
         assert np.max(np.abs(back.descriptors - db.descriptors)) < 1e-6
+        assert np.array_equal(back.descriptors, db.descriptors.astype(
+            np.float32).astype(np.float64))
+        assert np.array_equal(back.sq_norms, np.einsum(
+            "ij,ij->i", back.descriptors, back.descriptors))
         assert np.array_equal(back.northing, db.northing)
 
     def test_bad_magic_rejected(self, tmp_path):
