@@ -2,8 +2,13 @@
 
 Layers record backward closures on a :class:`Tape` during the forward pass.
 ``Tape.backward`` seeds the output gradient and replays the closures in
-reverse order, accumulating into each :class:`Var`'s ``grad`` slot.  Running
-a forward pass with ``tape=None`` records nothing (eval / frozen mode).
+reverse order, accumulating into each :class:`Var`'s ``grad`` slot, and drops
+each closure once it has run.  Running a forward pass with ``tape=None``
+records nothing (eval / frozen mode).
+
+A backward closure hands :meth:`Var.add_grad` either an array it allocated
+itself and no longer uses, which the Var may adopt, or a view; it never
+hands over a buffer that another Var or the caller still holds.
 """
 
 from __future__ import annotations
@@ -27,11 +32,21 @@ class Var:
         return self.value.shape
 
     def add_grad(self, g):
-        if self.grad is None:
-            # copy: g may be a broadcast view or aliased buffer
-            self.grad = np.array(np.broadcast_to(g, self.value.shape), dtype=np.float64)
-        else:
+        """Accumulate ``g`` into ``grad``.
+
+        A first gradient that is a writeable float64 array of this Var's
+        shape owning its memory is adopted as ``grad`` without a copy: the
+        backward op that allocated it gives it up.  A view, a broadcast, a
+        scalar or another dtype is copied.
+        """
+        if self.grad is not None:
             self.grad += g
+        elif (isinstance(g, np.ndarray) and g.base is None
+              and g.dtype == np.float64 and g.shape == self.value.shape
+              and g.flags.writeable):
+            self.grad = g
+        else:
+            self.grad = np.array(np.broadcast_to(g, self.value.shape), dtype=np.float64)
 
     def zero_grad(self):
         self.grad = None
@@ -54,10 +69,15 @@ class Tape:
         return len(self._ops)
 
     def backward(self, out: Var, seed=1.0):
-        """Seed ``out.grad`` and replay recorded ops in reverse order."""
+        """Seed ``out.grad`` with a copy of ``seed`` and replay recorded ops
+        in reverse order.
+
+        Each closure is dropped once it has run, so the activations and
+        gradients that only it holds are freed as the backward unwinds.
+        """
         if self._consumed:
             raise TapeConsumed("backward() already ran on this tape")
         self._consumed = True
-        out.add_grad(np.asarray(seed, dtype=np.float64))
-        for fn in reversed(self._ops):
-            fn()
+        out.add_grad(np.array(seed, dtype=np.float64))
+        while self._ops:
+            self._ops.pop()()

@@ -171,7 +171,7 @@ def _intervals(descriptors: np.ndarray, sq_db: np.ndarray, desc: np.ndarray,
     return lo, hi
 
 
-def _screen_block(db: DescriptorDatabase, sq_db: np.ndarray, desc: np.ndarray,
+def _screen_block(db: DescriptorDatabase, desc: np.ndarray,
                   north: np.ndarray, east: np.ndarray,
                   radius: float) -> np.ndarray:
     """0-based rank under ``_ranking`` of each query's first database entry
@@ -188,7 +188,7 @@ def _screen_block(db: DescriptorDatabase, sq_db: np.ndarray, desc: np.ndarray,
     hit = np.sqrt((db.northing - north[:, None]) ** 2
                   + (db.easting - east[:, None]) ** 2) <= radius
     first = np.full(len(desc), len(db))
-    bounds = _intervals(db.descriptors, sq_db, desc,
+    bounds = _intervals(db.descriptors, db.sq_norms, desc,
                         np.einsum("ij,ij->i", desc, desc))
     if bounds is None:
         for i, q in enumerate(desc):
@@ -228,8 +228,7 @@ def _first_hits(queries: DescriptorDatabase, db: DescriptorDatabase,
     first = np.empty(len(queries), dtype=np.int64)
     for start in range(0, len(queries), _BLOCK):
         block = slice(start, start + _BLOCK)
-        first[block] = _screen_block(db, db.sq_norms,
-                                     queries.descriptors[block],
+        first[block] = _screen_block(db, queries.descriptors[block],
                                      queries.northing[block],
                                      queries.easting[block], radius)
     return first

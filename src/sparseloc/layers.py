@@ -219,8 +219,10 @@ def sparse_add(a: SparseTensor, b: SparseTensor,
                 g = yvar.grad
                 if g is None:
                     return
-                avar.add_grad(g)
-                bvar.add_grad(g)
+                # yvar keeps g, so hand each input a view: add_grad copies
+                # a view rather than adopt it
+                avar.add_grad(g[:])
+                bvar.add_grad(g[:])
 
             tape.record(backward_same)
         return SparseTensor(a.coords, yvar, stride=a.stride, validate=False,

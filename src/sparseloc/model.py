@@ -71,34 +71,38 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
     g_k = (mean_j clamp(f_jk, eps)^p)^(1/p); differentiable in features and p.
     Returns (Var of shape (B, c), list of batch ids).
 
-    Items are contiguous row slices of one fresh buffer c = clamp(f, eps),
-    raised to p in place (by einsum for small integer p without a tape; into
-    a kept second buffer with one).  Where the direct power could overflow,
-    values are max * (mean (c/max)^p)^(1/p), so the ratios stay in (0, 1].
+    GeM holds one full-size buffer, ``powers``, with or without a tape.  Each
+    item's rows of f are clamped into a contiguous row slice of it and raised
+    to p in place (by einsum for small integer p without a tape).  Where the
+    direct power could overflow, values are max * (mean (c/max)^p)^(1/p), so
+    the ratios stay in (0, 1].  The backward clamps f again one item at a
+    time and builds the input gradient in place in ``powers``, which the
+    feature Var then adopts.
     """
     f = fmap.features
     if len(f) == 0:
         raise EmptyInput("cannot pool an empty feature map")
     p = float(p_var.value)
     order, ids, bounds = _batch_slices(fmap.coords)
-    c = np.maximum(f if order is None else f[order], eps)
+    # each item's rows of f, in the order they take in powers
+    rows = [slice(s, e) if order is None else order[s:e] for s, e in bounds]
     # skip the ratio normalization when the direct power cannot overflow
-    direct = p * np.log(max(float(c.max()), 1.0)) < 300.0
+    direct = p * np.log(max(float(f.max()), 1.0)) < 300.0
     # eval mode with a small integer p: single-pass reduction, no temporaries
     use_einsum = tape is None and p == int(p) and 2 <= p <= 4
-    powers = c if tape is None else np.empty_like(c)   # (c/max)^p
+    powers = np.empty_like(f)   # (clamp(f, eps)/max)^p, item by item
     maxes = np.ones((len(ids), f.shape[1]))
     means = np.empty_like(maxes)
     for b, (s, e) in enumerate(bounds):
-        r = c[s:e]
+        r = np.maximum(f[rows[b]], eps, out=powers[s:e])
         if not direct:
             maxes[b] = r.max(axis=0)
-            r = np.divide(r, maxes[b], out=powers[s:e])
+            r /= maxes[b]
         if use_einsum:
             sub = ",".join(["ij"] * int(p)) + "->j"
             means[b] = np.einsum(sub, *([r] * int(p))) / (e - s)
         else:
-            means[b] = np.power(r, p, out=powers[s:e]).sum(axis=0) / (e - s)
+            means[b] = np.power(r, p, out=r).sum(axis=0) / (e - s)
     out = maxes * means ** (1.0 / p)
     yvar = Var(out)
     if tape is not None:
@@ -108,24 +112,23 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
             g = yvar.grad
             if g is None:
                 return
-            gc = np.empty_like(c)
             gp = 0.0
             for b, (s, e) in enumerate(bounds):
-                n_b, cb, pb = e - s, c[s:e], powers[s:e]
-                # d g_k / d c_jk = (1/n) mean^(1/p - 1) (c/max)^p max / c:
-                # the max factor cancels in g, so it is treated as a constant
-                gb = np.divide(pb, cb, out=gc[s:e])
-                gb *= g[b] * means[b] ** (1.0 / p - 1.0) * maxes[b] / n_b
-                gb *= cb > eps
-                # mean (c/max)^p log(c/max)
+                n_b, cb, pb = e - s, np.maximum(f[rows[b]], eps), powers[s:e]
+                # mean (c/max)^p log(c/max), taken before pb becomes gradient
                 mlog = (np.einsum("ij,ij->j", pb, np.log(cb)) / n_b
                         - means[b] * np.log(maxes[b]))
                 dy_dp = out[b] * (mlog / (p * means[b])
                                   - np.log(means[b]) / p ** 2)
                 gp += float((g[b] * dy_dp).sum())
+                # d g_k / d c_jk = (1/n) mean^(1/p - 1) (c/max)^p max / c:
+                # the max factor cancels in g, so it is treated as a constant
+                pb /= cb
+                pb *= g[b] * means[b] ** (1.0 / p - 1.0) * maxes[b] / n_b
+                pb *= cb > eps
             if order is not None:
-                gc[order] = gc.copy()
-            fvar.add_grad(gc)
+                powers[order] = powers.copy()
+            fvar.add_grad(powers)
             p_var.add_grad(np.asarray(gp))
 
         tape.record(backward)

@@ -250,9 +250,9 @@ class TestRankedProtocol:
             save_database(paths[-1], db)
         calls, screen = [], evaluate._screen_block
 
-        def counting(db, sq_db, desc, *rest):
+        def counting(db, desc, *rest):
             calls.append((len(db), len(desc)))
-            return screen(db, sq_db, desc, *rest)
+            return screen(db, desc, *rest)
 
         monkeypatch.setattr(evaluate, "_screen_block", counting)
         code = cli.main(["eval", "--db", paths[0], "--query", paths[1],
@@ -352,9 +352,9 @@ class TestBlockScreen:
         q, db = clustered_pairing(6, n_places=80, n_queries=n_q)
         sizes, screen = [], evaluate._screen_block
 
-        def counting(db, sq_db, desc, *rest):
+        def counting(db, desc, *rest):
             sizes.append(len(desc))
-            return screen(db, sq_db, desc, *rest)
+            return screen(db, desc, *rest)
 
         monkeypatch.setattr(evaluate, "_screen_block", counting)
         self.assert_exact(q, db)

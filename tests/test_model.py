@@ -1,5 +1,7 @@
 """Pooling heads, descriptor invariances, backbone shape, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,26 @@ class TestGemPool:
         if taped:
             tape.backward(out, np.ones_like(out.value))
         assert np.array_equal(x.features, before)
+
+    def test_taped_step_holds_one_full_size_buffer(self):
+        # forward plus backward on an n x 256 map in 16 items: the kept
+        # buffer, which becomes the input gradient, plus per-item temporaries
+        n, items = 4096, 16
+        rng = np.random.default_rng(6)
+        x = column_tensor(rng.uniform(-0.5, 2.0, size=(n, 256)),
+                          batch=np.repeat(np.arange(items), n // items))
+        p, seed = Var(np.asarray(3.17)), rng.normal(size=(items, 256))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tape = Tape()
+            out, _ = gem_pool(x, p, tape)
+            tape.backward(out, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.fvar.grad.shape == (n, 256)
+        assert peak - start < 1.5 * n * 256 * 8
 
 
 class TestMacPool:
