@@ -23,7 +23,7 @@ from .errors import (DatasetError, EmptyInput, FormatError, NumericError,
                      ShapeError, SparselocError)
 from .gradcheck import run_suite
 from .model import (Descriptor, MinkLoc, ModelConfig, compute_descriptor,
-                    load_checkpoint, save_checkpoint)
+                    load_checkpoint)
 from .sparse import PointCloud
 from .train import AugmentConfig, TrainingConfig, train
 

@@ -11,7 +11,7 @@ from .layers import (BatchNorm, relu, sparse_add, sparse_conv,
                      sparse_transposed_conv)
 from .model import MinkLoc, ModelConfig, batch_tensor, gem_pool
 from .sparse import PointCloud, SparseTensor
-from .train import batch_hard_mine, compute_masks, mined_triplet_loss
+from .train import batch_hard_mine, mined_triplet_loss
 
 
 def numeric_grad(scalar_fn, var: Var, h: float = 1e-5) -> np.ndarray:
@@ -57,10 +57,6 @@ def _random_tensor(rng, n=12, c=3, stride=1, span=4, batches=1) -> SparseTensor:
     # keep features away from ReLU / clamp kinks for clean finite differences
     feats = rng.uniform(0.1, 1.0, size=(n, c)) * rng.choice([-1.0, 1.0], size=(n, c))
     return SparseTensor(coords, feats, stride=stride)
-
-
-def _weighted_sum(out_var: Var, weights: np.ndarray) -> float:
-    return float((out_var.value * weights).sum())
 
 
 def _check(name, forward, params, tol, corrupt=False) -> CheckResult:

@@ -13,8 +13,9 @@ import numpy as np
 
 from .autodiff import Tape, Var
 from .errors import EmptyInput, ShapeError, StrideError
-from .sparse import (SparseTensor, build_kernel_map, downsample_coords,
-                     kernel_offsets, offset_key_delta, unpack_keys)
+from .sparse import (SparseTensor, build_kernel_map, conv_map_key,
+                     downsample_coords, kernel_offsets, offset_key_delta,
+                     unpack_keys)
 
 
 def _check_channels(x: SparseTensor, c_in: int):
@@ -26,11 +27,14 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
                 stride: int = 1, tape: Tape | None = None) -> SparseTensor:
     """Gather-multiply-scatter convolution through a kernel map.
 
-    weight has shape (n_offsets, c_in, c_out).  stride > 1 places outputs on
-    the downsampled lattice (stride-aligned floor of input coordinates).
+    weight has shape (n_offsets, c_in, c_out).  stride > 1 needs an even
+    kernel_size == stride and takes the downsample's lattice and kernel map.
     """
     w = weight.value
     n_off, c_in, c_out = w.shape
+    if stride > 1 and (kernel_size != stride or kernel_size % 2):
+        raise ShapeError(f"strided conv needs an even kernel_size == stride, "
+                         f"got {kernel_size} and {stride}")
     if n_off != len(kernel_offsets(kernel_size)):
         raise ShapeError("weight offset count does not match kernel size")
     _check_channels(x, c_in)
@@ -48,7 +52,7 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
     segments = []
     if centre is None or n_off > 1:
         kmap = build_kernel_map(x, out_coords, kernel_size,
-                                cache_key=("conv", kernel_size, stride))
+                                cache_key=conv_map_key(kernel_size, stride))
         b = kmap.bounds
         segments = [(k, kmap.rows_in[b[k]:b[k + 1]], kmap.rows_out[b[k]:b[k + 1]])
                     for k in range(n_off) if k != centre and b[k] < b[k + 1]]

@@ -14,7 +14,7 @@ import json
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .autodiff import Tape, Var
 from .errors import EmptyInput, FormatError, ShapeError
 from .layers import (BatchNorm, SparseConv, relu, sparse_add,
                      sparse_transposed_conv)
-from .sparse import PointCloud, SparseTensor, concat_tensors, quantize
+from .sparse import (KernelMap, PointCloud, SparseTensor, downsample_map,
+                     quantize)
 
 _CKPT_MAGIC = b"SLCKPT1\n"
 
@@ -202,13 +203,13 @@ def _compose(lateral: Var, tconv: Var, tape: Tape | None) -> Var:
     return fused
 
 
-def _add_lateral(top: SparseTensor, lateral: SparseTensor,
+def _add_lateral(top: SparseTensor, lateral: SparseTensor, down: KernelMap,
                  tape: Tape | None) -> SparseTensor:
-    """top + lateral in place in top's fresh buffer.  Each lateral voxel is
-    a child of its stride-8 parent, so top already holds all of them."""
-    rows = top.rows_of(lateral.coords)
-    if rows.min() < 0:
-        raise ShapeError("lateral voxel has no parent in the upsampled map")
+    """top + lateral in place in top's fresh buffer.  ``down`` maps lateral
+    rows to their stride-8 parents: offset k of parent p is top row p*8 + k."""
+    rows = np.empty(lateral.n, dtype=np.int64)
+    k = np.repeat(np.arange(len(down.offsets)), np.diff(down.bounds))
+    rows[down.rows_in] = down.rows_out * len(down.offsets) + k
     top.features[rows] += lateral.features
     if tape is not None:
         # top keeps its Var, so the transposed conv receives the gradient as is
@@ -250,7 +251,8 @@ class MinkFPN:
         fused = _compose(self.lateral3.weight, self.tconv3.weight, tape)
         top = sparse_transposed_conv(x3, fused, kernel_size=2, stride=2,
                                      tape=tape)
-        return _add_lateral(top, self.lateral2(x2, tape), tape)
+        return _add_lateral(top, self.lateral2(x2, tape),
+                            downsample_map(x2, 2), tape)
 
 
 class MinkLoc:
@@ -348,7 +350,7 @@ def _l2_normalize(emb: Var, tape: Tape | None):
     norms = np.maximum(norms, 1e-12)
     yvar = Var(emb.value / norms)
     if tape is not None:
-        x, y = emb.value, yvar.value
+        y = yvar.value
 
         def backward():
             g = yvar.grad
@@ -361,17 +363,19 @@ def _l2_normalize(emb: Var, tape: Tape | None):
 
 
 def batch_tensor(clouds: list[PointCloud], step: float) -> SparseTensor:
-    """Quantize each cloud with its batch index and stack, canonical row order.
+    """Quantize each cloud with its batch index and stack, in packed-key order.
 
     Sorting by packed coordinate key fixes the accumulation order so the
     result is independent of input point ordering.
     """
-    parts = [quantize(c, step, batch=i, canonical=True)
-             for i, c in enumerate(clouds)]
-    out = concat_tensors(parts, validate=False)
-    # the batch index occupies the top key bits, so canonically ordered
+    if not clouds:
+        raise EmptyInput("no clouds to batch")
+    parts = [quantize(c, step, batch=i) for i, c in enumerate(clouds)]
+    # the batch index occupies the top key bits, so key-ordered
     # parts concatenate into a globally key-sorted tensor
-    keys = np.concatenate([p._geom.keys for p in parts])
+    keys = np.concatenate([p.keys() for p in parts])
+    out = SparseTensor(np.concatenate([p.coords for p in parts]),
+                       np.ones((len(keys), 1)), validate=False)
     out._geom.keys = keys
     out._geom.sorted = (keys, np.arange(len(keys)))
     return out

@@ -153,13 +153,11 @@ class SparseTensor:
         return rows
 
 
-def quantize(cloud: PointCloud, step: float, batch: int = 0,
-             canonical: bool = False) -> SparseTensor:
+def quantize(cloud: PointCloud, step: float, batch: int = 0) -> SparseTensor:
     """Voxelize a point cloud: floor(coord / step), single occupancy channel.
 
-    Duplicate voxels collapse to one row; row order is order of first
-    occurrence, or packed-key order when ``canonical`` is set (which also
-    seeds the tensor's sorted-key index).  Output stride is 1.
+    Duplicate voxels collapse to one row; rows are in packed-key order, which
+    also seeds the tensor's sorted-key index.  Output stride is 1.
     """
     if len(cloud) == 0:
         raise EmptyInput("cannot quantize an empty point cloud")
@@ -167,17 +165,12 @@ def quantize(cloud: PointCloud, step: float, batch: int = 0,
         raise ValueError("quantization step must be positive")
     vox = np.floor(cloud.points / step).astype(np.int64)
     coords = np.column_stack([np.full(len(vox), batch, dtype=np.int64), vox])
-    keys = pack_coords(coords)
-    uniq, first = np.unique(keys, return_index=True)
-    if canonical:
-        st = SparseTensor(coords[first], np.ones((len(first), 1)),
-                          stride=1, validate=False)
-        st._geom.keys = uniq
-        st._geom.sorted = (uniq, np.arange(len(uniq)))
-        return st
-    keep = np.sort(first)
-    return SparseTensor(coords[keep], np.ones((len(keep), 1)), stride=1,
-                        validate=False)
+    uniq, first = np.unique(pack_coords(coords), return_index=True)
+    st = SparseTensor(coords[first], np.ones((len(first), 1)), stride=1,
+                      validate=False)
+    st._geom.keys = uniq
+    st._geom.sorted = (uniq, np.arange(len(uniq)))
+    return st
 
 
 def kernel_offsets(kernel_size: int) -> list[tuple[int, int, int]]:
@@ -276,39 +269,42 @@ def build_kernel_map(in_tensor: SparseTensor, out_coords: np.ndarray,
     return kmap
 
 
+def conv_map_key(kernel_size: int, stride: int):
+    """Cache key of a conv's kernel map on its input's geometry."""
+    return ("conv", kernel_size, stride)
+
+
 def downsample_coords(in_tensor: SparseTensor, factor: int = 2):
     """Stride-aligned floor of input coordinates; returns (coords, new_stride).
 
-    Row order is order of first occurrence over the input rows.
+    Row order is order of first occurrence over the input rows.  The same pass
+    caches, under ``conv_map_key(factor, factor)``, a K = factor kernel map
+    with no search: each input row under its offset in {0..K-1}^3 from its
+    parent, sorted by (offset, parent); for even K it equals the search's map.
     """
-    new_stride = in_tensor.stride * int(factor)
-    cached = in_tensor._geom.kmaps.get(("down", new_stride))
-    if cached is not None:
-        return cached
-    if new_stride & (new_stride - 1) == 0:
-        # power-of-two stride: floor each bit field directly in key space
-        # (valid: the field offset 2^16 is itself a multiple of the stride)
-        m = np.int64(new_stride - 1)
-        fmask = m | (m << _COORD_BITS) | (m << (2 * _COORD_BITS))
-        masked = in_tensor.keys() & ~fmask
-        _, first = np.unique(masked, return_index=True)
-        keep = np.sort(first)
-        result = (unpack_keys(masked[keep]), new_stride)
-    else:
-        coords = in_tensor.coords.copy()
-        coords[:, 1:] = (coords[:, 1:] // new_stride) * new_stride
-        _, first = np.unique(pack_coords(coords), return_index=True)
-        result = (coords[np.sort(first)], new_stride)
-    in_tensor._geom.kmaps[("down", new_stride)] = result
-    return result
+    new_stride = in_tensor.stride * factor
+    kmaps = in_tensor._geom.kmaps
+    if ("down", new_stride) not in kmaps:
+        lattice = in_tensor.coords[:, 1:] // in_tensor.stride
+        cell = lattice // factor
+        parents = np.column_stack([in_tensor.coords[:, 0], cell * new_stride])
+        _, first, inverse = np.unique(pack_coords(parents), return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        parent = np.argsort(order)[inverse]   # output row of each input row
+        digit = lattice - cell * factor
+        offset = (digit[:, 0] * factor + digit[:, 1]) * factor + digit[:, 2]
+        rows_in = np.argsort(offset * len(order) + parent)
+        bounds = np.searchsorted(offset[rows_in], np.arange(factor ** 3 + 1))
+        kmaps[conv_map_key(factor, factor)] = KernelMap(
+            list(itertools.product(range(factor), repeat=3)), rows_in,
+            parent[rows_in], bounds)
+        kmaps[("down", new_stride)] = (parents[first[order]], new_stride)
+    return kmaps[("down", new_stride)]
 
 
-def concat_tensors(tensors: list[SparseTensor],
-                   validate: bool = True) -> SparseTensor:
-    """Stack per-batch-item tensors (same stride, same channels) into one."""
-    if not tensors:
-        raise EmptyInput("nothing to concatenate")
-    stride = tensors[0].stride
-    coords = np.concatenate([t.coords for t in tensors])
-    features = np.concatenate([t.features for t in tensors])
-    return SparseTensor(coords, features, stride=stride, validate=validate)
+def downsample_map(in_tensor: SparseTensor, factor: int = 2) -> KernelMap:
+    """The kernel map of :func:`downsample_coords` for the same arguments."""
+    if conv_map_key(factor, factor) not in in_tensor._geom.kmaps:
+        downsample_coords(in_tensor, factor)
+    return in_tensor._geom.kmaps[conv_map_key(factor, factor)]

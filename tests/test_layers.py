@@ -75,6 +75,14 @@ class TestSparseConv:
         with pytest.raises(ShapeError):
             sparse_conv(x, Var(np.zeros((8, 1, 1))), kernel_size=3)
 
+    @pytest.mark.parametrize("kernel_size,stride", [(3, 2), (3, 3)])
+    def test_strided_kernel_must_be_even_and_equal_stride(self, kernel_size,
+                                                          stride):
+        x = SparseTensor(np.array([[0, 0, 0, 0]]), np.array([[1.0]]))
+        with pytest.raises(ShapeError, match="kernel_size == stride"):
+            sparse_conv(x, Var(np.zeros((27, 1, 1))), kernel_size=kernel_size,
+                        stride=stride)
+
     def test_dilation_follows_tensor_stride(self):
         # at stride 2, K=3 neighbours sit 2 lattice units away
         coords = np.array([[0, 0, 0, 0], [0, 2, 0, 0]])

@@ -9,9 +9,11 @@ from sparseloc import (MinkLoc, ModelConfig, PointCloud, SparseTensor, Tape,
                        Var, batch_tensor, compute_descriptor, gem_pool,
                        load_checkpoint, mac_pool, relu, save_checkpoint,
                        sparse_transposed_conv)
-from sparseloc.errors import FormatError, ShapeError
+from sparseloc import layers, sparse
+from sparseloc.errors import EmptyInput, FormatError
 from sparseloc.gradcheck import max_rel_err, numeric_grad
 from sparseloc.model import _add_lateral, _compose
+from sparseloc.sparse import downsample_coords, downsample_map
 from conftest import TINY_CFG
 
 
@@ -228,26 +230,69 @@ class TestBackbone:
         assert np.array_equal(plain.coords, taped.coords)
         assert np.max(np.abs(plain.features - taped.features)) <= 1e-12
 
-    def test_lateral_without_parent_rejected(self):
-        top = SparseTensor(np.array([[0, 0, 0, 0], [0, 4, 0, 0]]),
-                           np.ones((2, 3)), stride=4)
-        lateral = SparseTensor(np.array([[0, 8, 0, 0]]), np.ones((1, 3)),
-                               stride=4)
-        with pytest.raises(ShapeError):
-            _add_lateral(top, lateral, None)
-
     def test_lateral_add_and_gradients(self):
-        top = SparseTensor(np.array([[0, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0]]),
-                           np.arange(6.0).reshape(3, 2), stride=4)
-        lateral = SparseTensor(np.array([[0, 0, 4, 0], [0, 0, 0, 0]]),
-                               np.array([[10.0, 20.0], [30.0, 40.0]]), stride=4)
+        lateral = SparseTensor(
+            np.array([[0, 12, 4, 0], [0, 0, 4, 0], [0, 0, 0, 0]]),
+            np.array([[1.0, 2.0], [10.0, 20.0], [30.0, 40.0]]), stride=4)
+        parents, stride = downsample_coords(lateral, 2)
+        assert parents.tolist() == [[0, 8, 0, 0], [0, 0, 0, 0]]
+        top = sparse_transposed_conv(
+            SparseTensor(parents, np.ones((2, 1)), stride=stride),
+            Var(np.arange(16.0).reshape(8, 1, 2)))
+        # offsets (1,1,0), (0,1,0), (0,0,0) of parents 0, 1, 1
+        want = top.features.copy()
+        want[[6, 10, 8]] += lateral.features
         tape = Tape()
-        out = _add_lateral(top, lateral, tape)
-        assert out.coords.tolist() == top.coords.tolist()
-        assert out.features.tolist() == [[30.0, 41.0], [2.0, 3.0], [14.0, 25.0]]
-        g = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        out = _add_lateral(top, lateral, downsample_map(lateral, 2), tape)
+        assert out is top and np.array_equal(out.features, want)
+        g = np.arange(32.0).reshape(16, 2)
         tape.backward(out.fvar, g)
-        assert np.array_equal(lateral.fvar.grad, g[[2, 0]])
+        assert np.array_equal(lateral.fvar.grad, g[[6, 10, 8]])
+
+    def test_lateral_rows_match_coordinate_lookup(self, tiny_model):
+        # on a real multi-cloud forward, block3.down's map of x2 sends each
+        # stride-4 voxel to the upsampled row holding its coordinates
+        rng = np.random.default_rng(4)
+        clouds = [PointCloud(rng.uniform(-0.9, 0.9, size=(120, 3)))
+                  for _ in range(3)]
+        st = batch_tensor(clouds, tiny_model.cfg.quantization_step)
+        bb = tiny_model.backbone
+        x2 = bb.block2(bb.block1(relu(bb.conv0_bn(bb.conv0(st)))))
+        x3 = bb.block3(x2)
+        up = sparse_transposed_conv(x3, Var(np.ones((8, 2, 1))))
+        top = SparseTensor(up.coords, np.zeros((up.n, 1)), stride=up.stride,
+                           validate=False)
+        ids = SparseTensor(x2.coords, np.arange(1.0, x2.n + 1),
+                           stride=x2.stride, validate=False, geom=x2._geom)
+        out = _add_lateral(top, ids, downsample_map(x2, 2), None)
+        rows = top.rows_of(x2.coords)
+        assert rows.min() >= 0
+        assert np.array_equal(out.features[rows], ids.features)
+        assert np.count_nonzero(out.features) == x2.n
+
+    def test_one_map_lookup_per_conv(self, tiny_model, monkeypatch):
+        # the lateral add reads block3.down's cached map: every map lookup
+        # of a forward belongs to a conv with K > 1 (conv0, 3 x 3 in blocks)
+        kernel_sizes = []
+
+        def counted(fn):
+            def wrapped(*args, **kwargs):
+                kernel_sizes.append(args[2])
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for mod in (layers, sparse):
+            monkeypatch.setattr(mod, "build_kernel_map",
+                                counted(mod.build_kernel_map))
+        rng = np.random.default_rng(5)
+        st = batch_tensor([PointCloud(rng.uniform(-0.9, 0.9, size=(80, 3)))],
+                          tiny_model.cfg.quantization_step)
+        tiny_model.backbone(st, Tape(), train=True)
+        assert sorted(kernel_sizes) == [2, 2, 2, 3, 3, 3, 3, 3, 3, 5]
+
+    def test_batch_of_no_clouds_rejected(self):
+        with pytest.raises(EmptyInput):
+            batch_tensor([], 0.01)
 
     def test_reference_param_count(self):
         # default widths land within the published ~1.1M parameter budget

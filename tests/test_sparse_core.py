@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseloc import (PointCloud, SparseTensor, build_kernel_map,
-                       downsample_coords, kernel_offsets, quantize)
+from sparseloc import (PointCloud, SparseTensor, Var, build_kernel_map,
+                       downsample_coords, kernel_offsets, quantize, sparse_conv)
+from sparseloc import layers
 from sparseloc.errors import EmptyInput
-from sparseloc.sparse import pack_coords, unpack_keys
+from sparseloc.sparse import downsample_map, pack_coords, unpack_keys
 
 
 def make_tensor(coords, stride=1, channels=1):
@@ -41,10 +42,15 @@ class TestQuantize:
         expect = {tuple(v) for v in np.floor(pts / 0.01).astype(int)}
         assert {tuple(c[1:]) for c in st_.coords.tolist()} == expect
 
-    def test_first_occurrence_row_order(self):
+    def test_rows_in_key_order(self):
+        # first occurrence would put voxel 5 first; key order puts 0 first
         pts = np.array([[0.05, 0.0, 0.0], [0.0, 0.0, 0.0], [0.051, 0.0, 0.0]])
         st_ = quantize(PointCloud(pts), step=0.01)
-        assert st_.coords[:, 1].tolist() == [5, 0]
+        assert st_.coords[:, 1].tolist() == [0, 5]
+        assert np.array_equal(st_.keys(), pack_coords(st_.coords))
+        skeys, order = st_._sorted_index()
+        assert np.array_equal(skeys, st_.keys())
+        assert order.tolist() == [0, 1]
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(EmptyInput):
@@ -225,6 +231,51 @@ class TestDownsample:
         x = make_tensor([[0, -1, 0, 0]])
         coords, _ = downsample_coords(x, 2)
         assert coords.tolist() == [[0, -2, 0, 0]]
+
+    # batches=1 gives the search oracle its dense-occupancy path, batches=3
+    # its joint searchsorted; stride 3 is not a power of two
+    @pytest.mark.parametrize("batches", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4])
+    def test_map_equals_search(self, stride, batches):
+        rng = np.random.default_rng(10 * stride + batches)
+        coords = np.unique(np.column_stack(
+            [rng.integers(0, batches, size=300),
+             stride * rng.integers(-6, 6, size=(300, 3))]), axis=0)
+        x = make_tensor(coords[rng.permutation(len(coords))], stride=stride)
+        out, new_stride = downsample_coords(x, 2)
+        assert new_stride == 2 * stride and out[:, 1:].min() < 0
+        kmap = downsample_map(x, 2)
+        oracle = build_kernel_map(make_tensor(x.coords, stride=stride), out, 2)
+        assert kmap.offsets == oracle.offsets
+        for name in ("rows_in", "rows_out", "bounds"):
+            assert np.array_equal(getattr(kmap, name), getattr(oracle, name))
+        # every input row has exactly one parent
+        assert sorted(kmap.rows_in.tolist()) == list(range(x.n))
+
+    def test_results_are_cached_objects(self, monkeypatch):
+        # a strided conv asks for its coordinates and its map once each; a
+        # repeat call hands back the same objects, and the map is the one
+        # the downsample built, so no search ran for it
+        seen = []
+
+        def record(fn):
+            def wrapped(*args, **kwargs):
+                seen.append(fn(*args, **kwargs))
+                return seen[-1]
+            return wrapped
+
+        for fn in (layers.downsample_coords, layers.build_kernel_map):
+            monkeypatch.setattr(layers, fn.__name__, record(fn))
+        x = make_tensor([[0, 0, 0, 0], [0, 1, 1, 1], [0, 2, 0, 0],
+                         [1, -1, 0, 3]])
+        w = Var(np.ones((8, 1, 1)))
+        for _ in range(2):
+            out = sparse_conv(x, w, kernel_size=2, stride=2)
+        down, kmap, down_again, kmap_again = seen
+        assert down is down_again is downsample_coords(x, 2)
+        coords, stride = down
+        assert stride == 2 and np.array_equal(out.coords, coords)
+        assert kmap is kmap_again is downsample_map(x, 2)
 
 
 class TestSparseTensor:
