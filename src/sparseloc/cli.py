@@ -61,7 +61,10 @@ def _coerce(key: str, raw: str):
     if ftype in ("float", float):
         return float(raw)
     if ftype in ("bool", bool):
-        return raw.lower() in ("1", "true", "yes", "on")
+        word = raw.lower()
+        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise FormatError(f"{key}: expected a boolean, got {raw!r}")
+        return word in ("1", "true", "yes", "on")
     return raw
 
 

@@ -14,8 +14,7 @@ import numpy as np
 from .autodiff import Tape, Var
 from .errors import EmptyInput, ShapeError, StrideError
 from .sparse import (SparseTensor, build_kernel_map, conv_map_key,
-                     downsample_coords, kernel_offsets, offset_key_delta,
-                     unpack_keys)
+                     downsample_coords, kernel_offsets, offset_key_delta)
 
 
 def _check_channels(x: SparseTensor, c_in: int):
@@ -39,12 +38,7 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
         raise ShapeError("weight offset count does not match kernel size")
     _check_channels(x, c_in)
     f = x.features
-    if stride == 1:
-        out_coords, out_stride = x.coords, x.stride
-        out_geom = x._geom
-    else:
-        out_coords, out_stride = downsample_coords(x, stride)
-        out_geom = None
+    out_coords = x.coords if stride == 1 else downsample_coords(x, stride)[0]
     # odd K at stride 1: the centre offset pairs every row with itself, so
     # its term is one plain GEMM (and the whole conv when K == 1)
     centre = n_off // 2 if stride == 1 and kernel_size % 2 else None
@@ -80,8 +74,7 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
             xvar.add_grad(gx)
 
         tape.record(backward)
-    return SparseTensor(out_coords, yvar, stride=out_stride, validate=False,
-                        geom=out_geom)
+    return x.with_features(yvar, stride)
 
 
 def sparse_transposed_conv(x: SparseTensor, weight: Var, kernel_size: int = 2,
@@ -107,7 +100,7 @@ def sparse_transposed_conv(x: SparseTensor, weight: Var, kernel_size: int = 2,
     out_stride = x.stride // stride
     deltas = np.array([offset_key_delta(off, out_stride)
                        for off in kernel_offsets(kernel_size)])
-    out_coords = unpack_keys((x.keys()[:, None] + deltas).reshape(-1))
+    out_keys = (x.keys()[:, None] + deltas).reshape(-1)
     f = x.features
     # (c_in, K^3 * c_out): one GEMM yields every child of an input row
     wbig = w.transpose(1, 0, 2).reshape(c_in, n_off * c_out)
@@ -125,7 +118,7 @@ def sparse_transposed_conv(x: SparseTensor, weight: Var, kernel_size: int = 2,
             weight.add_grad(gw.transpose(1, 0, 2))
 
         tape.record(backward)
-    return SparseTensor(out_coords, yvar, stride=out_stride, validate=False)
+    return SparseTensor.from_keys(out_keys, yvar, out_stride)
 
 
 class BatchNorm:
@@ -183,8 +176,7 @@ class BatchNorm:
                 xvar.add_grad(gx)
 
             tape.record(backward)
-        return SparseTensor(x.coords, yvar, stride=x.stride, validate=False,
-                            geom=x._geom)
+        return x.with_features(yvar)
 
 
 def relu(x: SparseTensor, tape: Tape | None = None) -> SparseTensor:
@@ -202,8 +194,7 @@ def relu(x: SparseTensor, tape: Tape | None = None) -> SparseTensor:
             xvar.add_grad(g * mask)
 
         tape.record(backward)
-    return SparseTensor(x.coords, yvar, stride=x.stride, validate=False,
-                        geom=x._geom)
+    return x.with_features(yvar)
 
 
 def sparse_add(a: SparseTensor, b: SparseTensor,
@@ -213,7 +204,7 @@ def sparse_add(a: SparseTensor, b: SparseTensor,
         raise StrideError(f"stride mismatch: {a.stride} vs {b.stride}")
     if a.channels != b.channels:
         raise ShapeError(f"channel mismatch: {a.channels} vs {b.channels}")
-    if a.coords is b.coords or a._geom is b._geom:
+    if a.coords is b.coords:
         # shared coordinate set (e.g. a residual branch): direct row-wise sum
         yvar = Var(a.features + b.features)
         if tape is not None:
@@ -229,13 +220,12 @@ def sparse_add(a: SparseTensor, b: SparseTensor,
                 bvar.add_grad(g[:])
 
             tape.record(backward_same)
-        return SparseTensor(a.coords, yvar, stride=a.stride, validate=False,
-                            geom=a._geom)
+        return a.with_features(yvar)
     rows_b = a.rows_of(b.coords)
     new_mask = rows_b < 0
-    out_coords = np.concatenate([a.coords, b.coords[new_mask]])
-    rows_b = np.where(new_mask, len(a.coords) + np.cumsum(new_mask) - 1, rows_b)
-    out = np.zeros((len(out_coords), a.channels))
+    out_keys = np.concatenate([a.keys(), b.keys()[new_mask]])
+    rows_b = np.where(new_mask, a.n + np.cumsum(new_mask) - 1, rows_b)
+    out = np.zeros((len(out_keys), a.channels))
     out[: a.n] = a.features
     out[rows_b] += b.features
     yvar = Var(out)
@@ -250,7 +240,7 @@ def sparse_add(a: SparseTensor, b: SparseTensor,
             bvar.add_grad(g[rows_b])
 
         tape.record(backward)
-    return SparseTensor(out_coords, yvar, stride=a.stride, validate=False)
+    return SparseTensor.from_keys(out_keys, yvar, a.stride)
 
 
 class SparseConv:

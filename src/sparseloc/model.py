@@ -40,6 +40,10 @@ class ModelConfig:
     quantization_step: float = 0.01
     normalize: bool = False  # optional L2-normalization of descriptors
 
+    def __post_init__(self):
+        if self.pooling not in ("gem", "mac"):
+            raise ValueError(f"pooling must be gem or mac, got {self.pooling!r}")
+
 
 @dataclass
 class Descriptor:
@@ -287,17 +291,19 @@ class MinkLoc:
 
     # -- parameters --------------------------------------------------------
 
+    def _conv_bns(self):
+        """(name, conv, batch norm) of every conv that batch norm follows."""
+        bb = self.backbone
+        yield "conv0", bb.conv0, bb.conv0_bn
+        for i, blk in enumerate((bb.block1, bb.block2, bb.block3), 1):
+            for part in ("down", "res1", "res2"):
+                yield f"conv{i}.{part}", getattr(blk, part), getattr(blk, f"{part}_bn")
+
     def named_params(self) -> dict[str, Var]:
-        out = {"conv0.w": self.backbone.conv0.weight}
-        out.update(_bn_params("conv0.bn", self.backbone.conv0_bn))
-        for i, blk in enumerate(
-                (self.backbone.block1, self.backbone.block2, self.backbone.block3), 1):
-            out[f"conv{i}.down.w"] = blk.down.weight
-            out.update(_bn_params(f"conv{i}.down.bn", blk.down_bn))
-            out[f"conv{i}.res1.w"] = blk.res1.weight
-            out.update(_bn_params(f"conv{i}.res1.bn", blk.res1_bn))
-            out[f"conv{i}.res2.w"] = blk.res2.weight
-            out.update(_bn_params(f"conv{i}.res2.bn", blk.res2_bn))
+        out = {}
+        for name, conv, bn in self._conv_bns():
+            out[f"{name}.w"] = conv.weight
+            out[f"{name}.bn.gamma"], out[f"{name}.bn.beta"] = bn.gamma, bn.beta
         out["lateral2.w"] = self.backbone.lateral2.weight
         out["lateral3.w"] = self.backbone.lateral3.weight
         out["tconv3.w"] = self.backbone.tconv3.weight
@@ -306,13 +312,7 @@ class MinkLoc:
         return out
 
     def _batch_norms(self) -> dict[str, BatchNorm]:
-        bns = {"conv0.bn": self.backbone.conv0_bn}
-        for i, blk in enumerate(
-                (self.backbone.block1, self.backbone.block2, self.backbone.block3), 1):
-            bns[f"conv{i}.down.bn"] = blk.down_bn
-            bns[f"conv{i}.res1.bn"] = blk.res1_bn
-            bns[f"conv{i}.res2.bn"] = blk.res2_bn
-        return bns
+        return {f"{name}.bn": bn for name, _, bn in self._conv_bns()}
 
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {name: var.value.copy() for name, var in self.named_params().items()}
@@ -341,10 +341,6 @@ class MinkLoc:
         return sum(v.value.size for v in self.named_params().values())
 
 
-def _bn_params(prefix: str, bn: BatchNorm) -> dict[str, Var]:
-    return {f"{prefix}.gamma": bn.gamma, f"{prefix}.beta": bn.beta}
-
-
 def _l2_normalize(emb: Var, tape: Tape | None):
     norms = np.linalg.norm(emb.value, axis=1, keepdims=True)
     norms = np.maximum(norms, 1e-12)
@@ -370,15 +366,11 @@ def batch_tensor(clouds: list[PointCloud], step: float) -> SparseTensor:
     """
     if not clouds:
         raise EmptyInput("no clouds to batch")
-    parts = [quantize(c, step, batch=i) for i, c in enumerate(clouds)]
     # the batch index occupies the top key bits, so key-ordered
     # parts concatenate into a globally key-sorted tensor
-    keys = np.concatenate([p.keys() for p in parts])
-    out = SparseTensor(np.concatenate([p.coords for p in parts]),
-                       np.ones((len(keys), 1)), validate=False)
-    out._geom.keys = keys
-    out._geom.sorted = (keys, np.arange(len(keys)))
-    return out
+    keys = np.concatenate([quantize(c, step, batch=i).keys()
+                           for i, c in enumerate(clouds)])
+    return SparseTensor.from_keys(keys, np.ones((len(keys), 1)))
 
 
 def compute_descriptor(cloud: PointCloud, model: MinkLoc) -> Descriptor:

@@ -4,6 +4,11 @@ Coordinates are (batch, x, y, z) int64 rows.  A coordinate row is hashed into
 a single int64 key so that membership queries and joins vectorize with
 ``np.searchsorted``; the hash is a bijective bit-packing, so it is
 collision-free within the supported coordinate range and fully deterministic.
+
+A :class:`SparseTensor` is a feature Var on one voxel geometry: coordinates,
+stride, packed keys and the caches built on them.  Layers that keep their
+input's voxels share its geometry.  ``quantize`` and each downsample build
+their voxel sets in key order, so those keys are their own sorted index.
 """
 
 from __future__ import annotations
@@ -76,47 +81,71 @@ def offset_key_delta(offset, step: int) -> int:
 
 
 class _Geometry:
-    """Caches tied to one coordinate set: packed keys, sorted index, kernel maps.
-
-    Tensors sharing a coordinate array (e.g. the output of BN/ReLU/stride-1
-    conv) share one instance so kernel maps are built once per layer shape.
+    """One voxel set: coordinates, stride, packed keys and the caches built
+    on them (sorted index, kernel maps, downsamples).  Tensors on the same
+    voxels share one instance, so each map is built once.  Keys that come in
+    strictly increasing order are their own sorted index.
     """
 
-    __slots__ = ("keys", "sorted", "kmaps")
+    __slots__ = ("coords", "stride", "keys", "sorted", "kmaps")
 
-    def __init__(self):
-        self.keys = None
-        self.sorted = None
+    def __init__(self, keys: np.ndarray, stride: int):
+        self.coords = unpack_keys(keys)
+        self.stride = stride
+        self.keys = keys
+        in_order = bool(np.all(keys[1:] > keys[:-1]))
+        self.sorted = (keys, np.arange(len(keys))) if in_order else None
         self.kmaps = {}
 
 
 class SparseTensor:
-    """Distinct voxel coordinates with an n x c feature matrix and a stride."""
+    """An n x c feature Var on a voxel geometry: distinct stride-aligned
+    (batch, x, y, z) rows and their stride."""
 
-    def __init__(self, coords, features, stride: int = 1, validate: bool = True,
-                 geom: _Geometry | None = None):
-        self.coords = np.asarray(coords, dtype=np.int64).reshape(-1, 4)
+    def __init__(self, coords, features, stride: int = 1):
+        coords = np.asarray(coords, dtype=np.int64).reshape(-1, 4)
+        stride = int(stride)
+        if len(coords) == 0:
+            raise EmptyInput("sparse tensor has no voxels")
+        if stride < 1:
+            raise ValueError("stride must be a positive integer")
+        if np.any(coords[:, 1:] % stride):
+            raise ValueError("coordinates are not stride-aligned")
+        self._set(_Geometry(pack_coords(coords), stride), features)
+        if len(self.features) != self.n:
+            raise ValueError("features and coords row counts differ")
+        skeys, _ = self._sorted_index()
+        if np.any(skeys[1:] == skeys[:-1]):
+            raise ValueError("duplicate voxel coordinates")
+
+    def _set(self, geom: _Geometry, features) -> SparseTensor:
+        self._geom = geom
         self.fvar = features if isinstance(features, Var) else Var(features)
         if self.fvar.value.ndim != 2:
-            self.fvar.value = self.fvar.value.reshape(len(self.coords), -1)
-        self.stride = int(stride)
-        self._geom = geom if geom is not None else _Geometry()
-        if validate:
-            self._validate()
+            self.fvar.value = self.fvar.value.reshape(len(geom.coords), -1)
+        return self
 
-    def _validate(self):
-        if len(self.coords) == 0:
-            raise EmptyInput("sparse tensor has no voxels")
-        if self.stride < 1:
-            raise ValueError("stride must be a positive integer")
-        if len(self.fvar.value) != len(self.coords):
-            raise ValueError("features and coords row counts differ")
-        if np.any(self.coords[:, 1:] % self.stride):
-            raise ValueError("coordinates are not stride-aligned")
-        keys = pack_coords(self.coords)
-        if len(np.unique(keys)) != len(keys):
-            raise ValueError("duplicate voxel coordinates")
-        self._geom.keys = keys
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, features, stride: int = 1) -> SparseTensor:
+        """An unvalidated tensor on the voxels of distinct packed ``keys``,
+        in their order; increasing keys seed the sorted index."""
+        return cls.__new__(cls)._set(_Geometry(keys, int(stride)), features)
+
+    def with_features(self, features, factor: int = 1) -> SparseTensor:
+        """A tensor on this tensor's voxels, or on their downsample by
+        ``factor`` once :func:`downsample_coords` has built it."""
+        geom = self._geom
+        if factor != 1:
+            geom = geom.kmaps[("down", self.stride * factor)][1]
+        return SparseTensor.__new__(SparseTensor)._set(geom, features)
+
+    @property
+    def coords(self) -> np.ndarray:
+        return self._geom.coords
+
+    @property
+    def stride(self) -> int:
+        return self._geom.stride
 
     @property
     def features(self) -> np.ndarray:
@@ -131,8 +160,6 @@ class SparseTensor:
         return self.fvar.value.shape[1]
 
     def keys(self) -> np.ndarray:
-        if self._geom.keys is None:
-            self._geom.keys = pack_coords(self.coords)
         return self._geom.keys
 
     def _sorted_index(self):
@@ -146,11 +173,8 @@ class SparseTensor:
         """Row index per query coordinate, -1 where absent."""
         skeys, order = self._sorted_index()
         q = pack_coords(np.asarray(coords, dtype=np.int64).reshape(-1, 4))
-        pos = np.searchsorted(skeys, q)
-        pos_c = np.minimum(pos, len(skeys) - 1)
-        hit = (pos < len(skeys)) & (skeys[pos_c] == q)
-        rows = np.where(hit, order[pos_c], -1)
-        return rows
+        pos = np.minimum(np.searchsorted(skeys, q), len(skeys) - 1)
+        return np.where(skeys[pos] == q, order[pos], -1)
 
 
 def quantize(cloud: PointCloud, step: float, batch: int = 0) -> SparseTensor:
@@ -165,12 +189,11 @@ def quantize(cloud: PointCloud, step: float, batch: int = 0) -> SparseTensor:
         raise ValueError("quantization step must be positive")
     vox = np.floor(cloud.points / step).astype(np.int64)
     coords = np.column_stack([np.full(len(vox), batch, dtype=np.int64), vox])
-    uniq, first = np.unique(pack_coords(coords), return_index=True)
-    st = SparseTensor(coords[first], np.ones((len(first), 1)), stride=1,
-                      validate=False)
-    st._geom.keys = uniq
-    st._geom.sorted = (uniq, np.arange(len(uniq)))
-    return st
+    # sort and drop repeats: np.unique without indices takes numpy's hash
+    # path, several times slower than a sort on these keys
+    keys = np.sort(pack_coords(coords))
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    return SparseTensor.from_keys(keys, np.ones((len(keys), 1)))
 
 
 def kernel_offsets(kernel_size: int) -> list[tuple[int, int, int]]:
@@ -216,17 +239,16 @@ def build_kernel_map(in_tensor: SparseTensor, out_coords: np.ndarray,
     For the input's own coordinate array and odd K the map is symmetric:
     offset -d holds offset d's pairs swapped, so only half is searched.
     """
-    if cache_key is not None:
-        cached = in_tensor._geom.kmaps.get(cache_key)
-        if cached is not None:
-            return cached
-    mirror = out_coords is in_tensor.coords and kernel_size % 2 == 1
+    kmaps = in_tensor._geom.kmaps
+    if cache_key in kmaps:
+        return kmaps[cache_key]
+    own = out_coords is in_tensor.coords
+    mirror = own and kernel_size % 2 == 1
     out_coords = np.asarray(out_coords, dtype=np.int64).reshape(-1, 4)
     offsets = kernel_offsets(kernel_size)
-    half = len(offsets) // 2
-    n_search = half if mirror else len(offsets)
+    n_search = len(offsets) // 2 if mirror else len(offsets)
     ds = in_tensor.stride
-    out_keys = pack_coords(out_coords)
+    out_keys = in_tensor.keys() if own else pack_coords(out_coords)
     skeys, order = in_tensor._sorted_index()
     deltas = np.array([offset_key_delta(off, ds) for off in offsets[:n_search]],
                       dtype=np.int64)
@@ -265,7 +287,7 @@ def build_kernel_map(in_tensor: SparseTensor, out_coords: np.ndarray,
         bounds = np.concatenate([bounds, 2 * bounds[-1] + len(every) - bounds[::-1]])
     kmap = KernelMap(offsets, ri, ro, bounds)
     if cache_key is not None:
-        in_tensor._geom.kmaps[cache_key] = kmap
+        kmaps[cache_key] = kmap
     return kmap
 
 
@@ -277,30 +299,32 @@ def conv_map_key(kernel_size: int, stride: int):
 def downsample_coords(in_tensor: SparseTensor, factor: int = 2):
     """Stride-aligned floor of input coordinates; returns (coords, new_stride).
 
-    Row order is order of first occurrence over the input rows.  The same pass
-    caches, under ``conv_map_key(factor, factor)``, a K = factor kernel map
-    with no search: each input row under its offset in {0..K-1}^3 from its
-    parent, sorted by (offset, parent); for even K it equals the search's map.
+    Rows are in packed-key order, straight from the ``np.unique`` over the
+    parents' keys: that key array seeds the parents' geometry (see
+    :meth:`SparseTensor.with_features`) as its own sorted index, and its
+    inverse is each input row's parent row.  The same pass caches, under
+    ``conv_map_key(factor, factor)``, a K = factor kernel map with no search:
+    each input row under its offset in {0..K-1}^3 from its parent, sorted by
+    (offset, parent); for even K it equals the search's map.
     """
     new_stride = in_tensor.stride * factor
     kmaps = in_tensor._geom.kmaps
     if ("down", new_stride) not in kmaps:
         lattice = in_tensor.coords[:, 1:] // in_tensor.stride
         cell = lattice // factor
-        parents = np.column_stack([in_tensor.coords[:, 0], cell * new_stride])
-        _, first, inverse = np.unique(pack_coords(parents), return_index=True,
-                                      return_inverse=True)
-        order = np.argsort(first)
-        parent = np.argsort(order)[inverse]   # output row of each input row
+        keys, parent = np.unique(
+            pack_coords(np.column_stack([in_tensor.coords[:, 0], cell * new_stride])),
+            return_inverse=True)
         digit = lattice - cell * factor
         offset = (digit[:, 0] * factor + digit[:, 1]) * factor + digit[:, 2]
-        rows_in = np.argsort(offset * len(order) + parent)
+        rows_in = np.argsort(offset * len(keys) + parent)
         bounds = np.searchsorted(offset[rows_in], np.arange(factor ** 3 + 1))
         kmaps[conv_map_key(factor, factor)] = KernelMap(
             list(itertools.product(range(factor), repeat=3)), rows_in,
             parent[rows_in], bounds)
-        kmaps[("down", new_stride)] = (parents[first[order]], new_stride)
-    return kmaps[("down", new_stride)]
+        geom = _Geometry(keys, new_stride)
+        kmaps[("down", new_stride)] = ((geom.coords, new_stride), geom)
+    return kmaps[("down", new_stride)][0]
 
 
 def downsample_map(in_tensor: SparseTensor, factor: int = 2) -> KernelMap:

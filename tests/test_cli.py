@@ -31,6 +31,18 @@ class TestConfigResolution:
         with pytest.raises(FormatError):
             cli._coerce("no_such_key", "1")
 
+    @pytest.mark.parametrize("raw,want", [("1", True), ("TRUE", True),
+                                          ("Yes", True), ("on", True),
+                                          ("0", False), ("False", False),
+                                          ("NO", False), ("off", False)])
+    def test_bool_words(self, raw, want):
+        assert cli._coerce("normalize", raw) is want
+
+    @pytest.mark.parametrize("raw", ["ture", "2", "", "y"])
+    def test_unknown_bool_rejected(self, raw):
+        with pytest.raises(FormatError):
+            cli._coerce("normalize", raw)
+
     def test_precedence_flag_over_file_over_default(self, tmp_path):
         path = tmp_path / "a.cfg"
         path.write_text("epochs = 5\nmargin = 0.3\n")
@@ -64,6 +76,18 @@ class TestExitCodes:
                     "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_DATA
         assert "index" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["pooling = GEM", "pooling = avg",
+                                      "normalize = ture"])
+    def test_bad_config_value_is_2(self, tmp_path, synth_root, capsys, line):
+        # "GEM" would pool with GeM but leave gem.p out of the parameters
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code = run(["train", "--config", str(cfg), "--dataset", synth_root,
+                    "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_DATA
+        assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_corrupt_checkpoint_is_2(self, tmp_path, synth_root, capsys):
         bad = tmp_path / "bad.ckpt"

@@ -226,9 +226,8 @@ class TestBatchNorm:
 
     def test_empty_tensor_rejected(self):
         bn = BatchNorm(1)
-        x = SparseTensor(np.array([[0, 0, 0, 0]]), np.array([[1.0]]))
-        x.coords = x.coords[:0]
-        x.fvar = Var(x.features[:0])
+        # the constructor refuses no voxels; from_keys trusts its caller
+        x = SparseTensor.from_keys(np.empty(0, dtype=np.int64), np.empty((0, 1)))
         with pytest.raises(EmptyInput):
             bn(x)
 

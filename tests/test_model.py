@@ -12,7 +12,7 @@ from sparseloc import (MinkLoc, ModelConfig, PointCloud, SparseTensor, Tape,
 from sparseloc import layers, sparse
 from sparseloc.errors import EmptyInput, FormatError
 from sparseloc.gradcheck import max_rel_err, numeric_grad
-from sparseloc.model import _add_lateral, _compose
+from sparseloc.model import _add_lateral, _compose, _l2_normalize
 from sparseloc.sparse import downsample_coords, downsample_map
 from conftest import TINY_CFG
 
@@ -235,19 +235,19 @@ class TestBackbone:
             np.array([[0, 12, 4, 0], [0, 0, 4, 0], [0, 0, 0, 0]]),
             np.array([[1.0, 2.0], [10.0, 20.0], [30.0, 40.0]]), stride=4)
         parents, stride = downsample_coords(lateral, 2)
-        assert parents.tolist() == [[0, 8, 0, 0], [0, 0, 0, 0]]
+        assert parents.tolist() == [[0, 0, 0, 0], [0, 8, 0, 0]]   # key order
         top = sparse_transposed_conv(
             SparseTensor(parents, np.ones((2, 1)), stride=stride),
             Var(np.arange(16.0).reshape(8, 1, 2)))
-        # offsets (1,1,0), (0,1,0), (0,0,0) of parents 0, 1, 1
+        # offsets (1,1,0), (0,1,0), (0,0,0) of parents 1, 0, 0
         want = top.features.copy()
-        want[[6, 10, 8]] += lateral.features
+        want[[14, 2, 0]] += lateral.features
         tape = Tape()
         out = _add_lateral(top, lateral, downsample_map(lateral, 2), tape)
         assert out is top and np.array_equal(out.features, want)
         g = np.arange(32.0).reshape(16, 2)
         tape.backward(out.fvar, g)
-        assert np.array_equal(lateral.fvar.grad, g[[6, 10, 8]])
+        assert np.array_equal(lateral.fvar.grad, g[[14, 2, 0]])
 
     def test_lateral_rows_match_coordinate_lookup(self, tiny_model):
         # on a real multi-cloud forward, block3.down's map of x2 sends each
@@ -260,10 +260,8 @@ class TestBackbone:
         x2 = bb.block2(bb.block1(relu(bb.conv0_bn(bb.conv0(st)))))
         x3 = bb.block3(x2)
         up = sparse_transposed_conv(x3, Var(np.ones((8, 2, 1))))
-        top = SparseTensor(up.coords, np.zeros((up.n, 1)), stride=up.stride,
-                           validate=False)
-        ids = SparseTensor(x2.coords, np.arange(1.0, x2.n + 1),
-                           stride=x2.stride, validate=False, geom=x2._geom)
+        top = up.with_features(np.zeros((up.n, 1)))
+        ids = x2.with_features(np.arange(1.0, x2.n + 1))
         out = _add_lateral(top, ids, downsample_map(x2, 2), None)
         rows = top.rows_of(x2.coords)
         assert rows.min() >= 0
@@ -290,6 +288,31 @@ class TestBackbone:
         tiny_model.backbone(st, Tape(), train=True)
         assert sorted(kernel_sizes) == [2, 2, 2, 3, 3, 3, 3, 3, 3, 5]
 
+    def test_every_voxel_set_in_key_order(self, tiny_model, monkeypatch):
+        # quantize, the batch and each downsample of a real forward list
+        # their voxels by increasing packed key, which is their sorted index
+        rng = np.random.default_rng(8)
+        clouds = [PointCloud(rng.uniform(-0.9, 0.9, size=(150, 3)))
+                  for _ in range(3)]
+        sets = [sparse.quantize(c, 0.1, batch=i) for i, c in enumerate(clouds)]
+        downs = []
+
+        def recorded(x, factor=2):
+            downs.append(downsample_coords(x, factor))
+            return downs[-1]
+
+        monkeypatch.setattr(layers, "downsample_coords", recorded)
+        st = batch_tensor(clouds, tiny_model.cfg.quantization_step)
+        tiny_model.backbone(st)
+        assert [stride for _, stride in downs] == [2, 4, 8]
+        sets.append(st)
+        for x in sets:
+            keys, order = x._sorted_index()
+            assert keys is x.keys() and np.array_equal(order, np.arange(x.n))
+        for coords in [x.coords for x in sets] + [c for c, _ in downs]:
+            keys = sparse.pack_coords(coords)
+            assert np.all(keys[1:] > keys[:-1])
+
     def test_batch_of_no_clouds_rejected(self):
         with pytest.raises(EmptyInput):
             batch_tensor([], 0.01)
@@ -306,6 +329,26 @@ class TestBackbone:
         d = compute_descriptor(PointCloud(pts), model)
         assert d.values.shape == (256,)
         assert np.all(np.isfinite(d.values))
+
+
+class TestNormalize:
+    def test_descriptor_rows_have_unit_norm(self, rng):
+        model = MinkLoc(ModelConfig(**TINY_CFG, normalize=True), seed=0)
+        clouds = [PointCloud(rng.uniform(-0.9, 0.9, size=(60, 3)))
+                  for _ in range(3)]
+        emb, _ = model.embed_clouds(clouds)
+        assert emb.value.shape == (3, TINY_CFG["descriptor_dim"])
+        assert np.allclose(np.linalg.norm(emb.value, axis=1), 1.0,
+                           rtol=0, atol=1e-12)
+
+    def test_gradient_matches_finite_differences(self, rng):
+        emb = Var(rng.normal(size=(3, 5)))
+        mix = rng.normal(size=(3, 5))
+        tape = Tape()
+        tape.backward(_l2_normalize(emb, tape), mix)
+        numeric = numeric_grad(
+            lambda: float((_l2_normalize(emb, None).value * mix).sum()), emb)
+        assert max_rel_err(emb.grad, numeric) < 1e-6
 
 
 class TestDescriptorInvariance:

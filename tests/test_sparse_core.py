@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sparseloc import (PointCloud, SparseTensor, Var, build_kernel_map,
                        downsample_coords, kernel_offsets, quantize, sparse_conv)
-from sparseloc import layers
+from sparseloc import layers, sparse
 from sparseloc.errors import EmptyInput
 from sparseloc.sparse import downsample_map, pack_coords, unpack_keys
 
@@ -276,6 +276,32 @@ class TestDownsample:
         coords, stride = down
         assert stride == 2 and np.array_equal(out.coords, coords)
         assert kmap is kmap_again is downsample_map(x, 2)
+
+    def test_first_conv_after_downsample_reuses_unique_keys(self, monkeypatch):
+        # the downsample's np.unique key array is the parents' sorted index,
+        # so a stride-1 conv on them neither packs nor sorts their keys again
+        rng = np.random.default_rng(3)
+        x = quantize(PointCloud(rng.uniform(-1, 1, size=(400, 3))), step=0.1)
+        uniques, real_unique = [], np.unique
+
+        def unique(*args, **kwargs):
+            out = real_unique(*args, **kwargs)
+            uniques.append(out[0])
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(sparse.np, "unique", unique)
+            y = sparse_conv(x, Var(np.ones((8, 1, 2))), kernel_size=2, stride=2)
+        packs = []
+        monkeypatch.setattr(sparse, "pack_coords",
+                            lambda c: packs.append(c) or pack_coords(c))
+        sparse_conv(y, Var(np.ones((27, 2, 2))), kernel_size=3)
+        assert packs == []
+        (keys,) = uniques
+        skeys, order = y._sorted_index()
+        assert skeys is keys and y.keys() is keys
+        assert np.array_equal(order, np.arange(y.n))
+        assert np.array_equal(y.coords, unpack_keys(keys))
 
 
 class TestSparseTensor:
