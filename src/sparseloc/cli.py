@@ -1,8 +1,19 @@
-"""Command line interface: train, embed, eval, query, gradcheck.
+"""Command line interface; each command takes only the flags it reads.
+
+  train      --config --seed --dataset --out --descriptor-dim --pooling
+             --epochs --batch --batch-limit
+  embed      --config --checkpoint --index --out
+  eval       --config --db --query --out --radius
+  query      --config --checkpoint --db --cloud -k
+  gradcheck  --seed --corrupt
 
 Config values resolve with precedence CLI flag > config file > default.
-Config files are flat ``key=value`` text; ``#`` starts a comment.
-Exit codes: 0 ok, 1 usage error, 2 data error, 3 numeric failure.
+Config files are flat ``key=value`` text; ``#`` starts a comment.  ``embed``
+and ``query`` build the network that the checkpoint's arrays describe (its
+widths, descriptor dimension and pooling) and read only
+``quantization_step`` and ``normalize`` from the config, which no array
+records.  Exit codes: 0 ok, 1 usage error, 2 data error (an OS error on a
+file included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -22,8 +33,8 @@ from . import evaluate as ev
 from .errors import (DatasetError, EmptyInput, FormatError, NumericError,
                      ShapeError, SparselocError)
 from .gradcheck import run_suite
-from .model import (Descriptor, MinkLoc, ModelConfig, compute_descriptor,
-                    load_checkpoint)
+from .model import (Descriptor, MinkLoc, ModelConfig, checkpoint_config,
+                    compute_descriptor, load_checkpoint)
 from .sparse import PointCloud
 from .train import AugmentConfig, TrainingConfig, train
 
@@ -32,10 +43,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-_CONFIG_FIELDS = {}
-for _cls in (TrainingConfig, ModelConfig, AugmentConfig, ev.EvalConfig):
-    for _f in dataclasses.fields(_cls):
-        _CONFIG_FIELDS[_f.name] = (_cls, _f.type)
+_CONFIGS = (TrainingConfig, ModelConfig, AugmentConfig, ev.EvalConfig)
+_CONFIG_FIELDS = {f.name: f.type for cls in _CONFIGS
+                  for f in dataclasses.fields(cls)}
 
 
 def parse_config_file(path: str) -> dict:
@@ -55,7 +65,7 @@ def parse_config_file(path: str) -> dict:
 def _coerce(key: str, raw: str):
     if key not in _CONFIG_FIELDS:
         raise FormatError(f"unknown config key: {key}")
-    _, ftype = _CONFIG_FIELDS[key]
+    ftype = _CONFIG_FIELDS[key]
     if ftype in ("int", int):
         return int(raw)
     if ftype in ("float", float):
@@ -70,34 +80,21 @@ def _coerce(key: str, raw: str):
 
 def resolve_configs(args) -> tuple[TrainingConfig, ModelConfig, AugmentConfig,
                                    ev.EvalConfig]:
-    """Defaults, overlaid by the config file, overlaid by explicit flags."""
-    values = {}
-    if getattr(args, "config", None):
-        for key, raw in parse_config_file(args.config).items():
-            values[key] = _coerce(key, raw)
-    flag_map = {
-        "descriptor_dim": getattr(args, "descriptor_dim", None),
-        "pooling": getattr(args, "pooling", None),
-        "success_radius": getattr(args, "radius", None),
-        "epochs": getattr(args, "epochs", None),
-        "initial_batch": getattr(args, "batch", None),
-        "batch_limit": getattr(args, "batch_limit", None),
-    }
-    for key, val in flag_map.items():
-        if val is not None:
-            values[key] = val
-    built = {}
-    for cls in (TrainingConfig, ModelConfig, AugmentConfig, ev.EvalConfig):
-        kw = {f.name: values[f.name] for f in dataclasses.fields(cls)
-              if f.name in values}
-        built[cls] = cls(**kw)
-    return (built[TrainingConfig], built[ModelConfig], built[AugmentConfig],
-            built[ev.EvalConfig])
+    """Defaults, overlaid by the config file, overlaid by same-named flags."""
+    raw = parse_config_file(args.config) if args.config else {}
+    values = {key: _coerce(key, val) for key, val in raw.items()}
+    values.update((key, val) for key, val in vars(args).items()
+                  if key in _CONFIG_FIELDS and val is not None)
+    return tuple(cls(**{f.name: values[f.name] for f in dataclasses.fields(cls)
+                        if f.name in values}) for cls in _CONFIGS)
 
 
-def _load_model(checkpoint: str, cfg: ModelConfig, seed: int) -> MinkLoc:
-    model = MinkLoc(cfg, seed=seed)
-    model.load_state_dict(load_checkpoint(checkpoint))
+def _load_model(args) -> MinkLoc:
+    """The checkpoint's network, quantizing and normalizing as configured."""
+    _, mcfg, _, _ = resolve_configs(args)
+    state = load_checkpoint(args.checkpoint)
+    model = MinkLoc(checkpoint_config(state, mcfg))
+    model.load_state_dict(state)
     return model
 
 
@@ -129,11 +126,8 @@ def _embed_records(model: MinkLoc, dataset: data_io.Dataset,
 
 def cmd_train(args) -> int:
     tcfg, mcfg, acfg, _ = resolve_configs(args)
-    index = os.path.join(args.dataset, "index.csv")
-    if not os.path.exists(index):
-        print(f"error: index file not found: {index}", file=sys.stderr)
-        return EXIT_DATA
-    dataset = data_io.Dataset.from_index(index)
+    dataset = data_io.Dataset.from_index(
+        os.path.join(args.dataset, "index.csv"))
     model = MinkLoc(mcfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     train(dataset, model, tcfg, acfg, seed=args.seed, out_dir=args.out,
@@ -143,8 +137,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    _, mcfg, _, _ = resolve_configs(args)
-    model = _load_model(args.checkpoint, mcfg, args.seed)
+    model = _load_model(args)
     dataset = data_io.Dataset.from_index(args.index)
     db = _embed_records(model, dataset, report=print)
     ev.save_database(args.out, db)
@@ -191,8 +184,7 @@ def cmd_query(args) -> int:
     if args.k < 1:
         print(f"error: -k must be >= 1, got {args.k}", file=sys.stderr)
         return EXIT_USAGE
-    _, mcfg, _, _ = resolve_configs(args)
-    model = _load_model(args.checkpoint, mcfg, args.seed)
+    model = _load_model(args)
     db = ev.load_database(args.db)
     desc = _file_descriptor(model, data_io.load_cloud(args.cloud), args.cloud)
     k = args.k
@@ -230,38 +222,36 @@ def build_parser() -> argparse.ArgumentParser:
                 description="Sparse-voxel place recognition pipeline")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--descriptor-dim", dest="descriptor_dim", type=int)
-        sp.add_argument("--pooling", choices=("gem", "mac"))
-
+    # a flag that sets a config field has that field's name as its dest
     sp = sub.add_parser("train", help="train a model on an indexed dataset")
-    common(sp)
+    sp.add_argument("--config", help="flat key=value config file")
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--dataset", required=True, help="dataset root directory")
     sp.add_argument("--out", required=True, help="output run directory")
+    sp.add_argument("--descriptor-dim", type=int)
+    sp.add_argument("--pooling", choices=("gem", "mac"))
     sp.add_argument("--epochs", type=int)
-    sp.add_argument("--batch", type=int)
-    sp.add_argument("--batch-limit", dest="batch_limit", type=int)
+    sp.add_argument("--batch", dest="initial_batch", type=int)
+    sp.add_argument("--batch-limit", type=int)
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("embed", help="embed an index into a descriptor db")
-    common(sp)
+    sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--index", required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_embed)
 
     sp = sub.add_parser("eval", help="Recall@N evaluation over runs")
-    common(sp)
+    sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--db", nargs="+", required=True)
     sp.add_argument("--query", nargs="+", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--radius", type=float)
+    sp.add_argument("--radius", dest="success_radius", type=float)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("query", help="top-k search for one cloud")
-    common(sp)
+    sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--db", required=True)
     sp.add_argument("--cloud", required=True)
@@ -269,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_query)
 
     sp = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--corrupt", action="store_true",
                     help="test hook: corrupt one analytic gradient")
     sp.set_defaults(func=cmd_gradcheck)
@@ -283,8 +273,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
-    except (FormatError, DatasetError, EmptyInput, ShapeError,
-            FileNotFoundError, ValueError) as exc:
+    except (FormatError, DatasetError, EmptyInput, ShapeError, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -18,7 +18,6 @@ _DB_MAGIC = b"SLDESC1\n"
 @dataclass
 class EvalConfig:
     success_radius: float = 25.0  # meters
-    top_n_percent: float = 1.0
 
 
 class DescriptorDatabase:

@@ -14,7 +14,7 @@ import json
 import os
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -322,6 +322,13 @@ class MinkLoc:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
+        params, bns = self.named_params(), self._batch_norms()
+        extra = set(state).difference(params, (f"{name}.{stat}" for name in bns
+                                                for stat in ("mean", "var")))
+        if extra:
+            raise FormatError("checkpoint entries this model does not hold: "
+                              + ", ".join(sorted(extra)))
+
         def fetch(name: str, shape: tuple) -> np.ndarray:
             if name not in state:
                 raise FormatError(f"checkpoint missing entry {name}")
@@ -331,9 +338,9 @@ class MinkLoc:
                                   f"{arr.shape} vs {shape}")
             return arr.copy()
 
-        for name, var in self.named_params().items():
+        for name, var in params.items():
             var.value = fetch(name, var.value.shape)
-        for name, bn in self._batch_norms().items():
+        for name, bn in bns.items():
             bn.running_mean = fetch(f"{name}.mean", bn.running_mean.shape)
             bn.running_var = fetch(f"{name}.var", bn.running_var.shape)
 
@@ -380,6 +387,25 @@ def compute_descriptor(cloud: PointCloud, model: MinkLoc) -> Descriptor:
         warnings.warn("point coordinates fall outside [-1, 1]", stacklevel=2)
     emb, _ = model.embed_clouds([cloud], tape=None, train=False)
     return Descriptor(emb.value[0], source_id=cloud.source_id)
+
+
+def checkpoint_config(state: dict, cfg: ModelConfig) -> ModelConfig:
+    """``cfg`` with the network shape that ``state`` records: each width is
+    a conv weight's output channels, and ``gem.p`` is there iff GeM pools."""
+    def width(name: str) -> int:
+        if name not in state:
+            raise FormatError(f"checkpoint missing entry {name}")
+        shape = np.shape(state[name])
+        if len(shape) != 3 or shape[2] < 1:
+            raise FormatError(f"checkpoint entry {name} has shape {shape}")
+        return shape[2]
+
+    return replace(cfg, conv0_ch=width("conv0.w"),
+                   conv1_ch=width("conv1.down.w"),
+                   conv2_ch=width("conv2.down.w"),
+                   conv3_ch=width("conv3.down.w"),
+                   descriptor_dim=width("lateral2.w"),
+                   pooling="gem" if "gem.p" in state else "mac")
 
 
 # -- checkpoint file -------------------------------------------------------

@@ -111,9 +111,11 @@ class SparseTensor:
             raise ValueError("stride must be a positive integer")
         if np.any(coords[:, 1:] % stride):
             raise ValueError("coordinates are not stride-aligned")
-        self._set(_Geometry(pack_coords(coords), stride), features)
-        if len(self.features) != self.n:
+        # a 1-D feature array is one channel, so it needs one value per voxel
+        if np.shape(features.value if isinstance(features, Var)
+                    else features)[:1] != (len(coords),):
             raise ValueError("features and coords row counts differ")
+        self._set(_Geometry(pack_coords(coords), stride), features)
         skeys, _ = self._sorted_index()
         if np.any(skeys[1:] == skeys[:-1]):
             raise ValueError("duplicate voxel coordinates")

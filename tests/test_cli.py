@@ -1,17 +1,78 @@
 """Command line behaviour: config resolution, exit codes, end-to-end flow."""
 
+import argparse
 import os
 
 import numpy as np
 import pytest
 
-from sparseloc import (DescriptorDatabase, cli, load_database, save_database,
-                       write_cloud)
+from sparseloc import (DescriptorDatabase, cli, load_checkpoint, load_database,
+                       save_checkpoint, save_database, write_cloud)
 from sparseloc.errors import FormatError
 
 
 def run(argv):
     return cli.main(argv)
+
+
+# each command's options; the ones that set a config field have its name as dest
+OPTIONS = {
+    "train": {"--config", "--seed", "--dataset", "--out", "--descriptor-dim",
+              "--pooling", "--epochs", "--batch", "--batch-limit"},
+    "embed": {"--config", "--checkpoint", "--index", "--out"},
+    "eval": {"--config", "--db", "--query", "--out", "--radius"},
+    "query": {"--config", "--checkpoint", "--db", "--cloud", "-k"},
+    "gradcheck": {"--seed", "--corrupt"},
+}
+
+# the required flags of each command, with values that are never opened
+REQUIRED = {
+    "embed": ["--checkpoint", "c.ckpt", "--index", "i.csv", "--out", "o.db"],
+    "eval": ["--db", "d.db", "--query", "q.db", "--out", "r.csv"],
+    "query": ["--checkpoint", "c.ckpt", "--db", "d.db", "--cloud", "s.bin"],
+    "gradcheck": [],
+}
+
+REMOVED = ([(cmd, flag) for cmd in ("embed", "eval", "query")
+            for flag in ("--seed", "--descriptor-dim", "--pooling")]
+           + [("gradcheck", flag)
+              for flag in ("--config", "--descriptor-dim", "--pooling")])
+
+
+class TestOptions:
+    def test_each_command_takes_only_what_it_reads(self):
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        got = {name: {o for a in sp._actions for o in a.option_strings}
+               - {"-h", "--help"} for name, sp in sub.choices.items()}
+        assert got == OPTIONS
+        assert sum(len(opts) for opts in got.values()) == 25
+
+    @pytest.mark.parametrize("cmd,flag", REMOVED)
+    def test_removed_flag_is_usage_error(self, capsys, cmd, flag):
+        value = {"--seed": "9", "--descriptor-dim": "7", "--pooling": "mac",
+                 "--config": "x.cfg"}[flag]
+        assert run([cmd, *REQUIRED[cmd], flag, value]) == cli.EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_flags_set_their_fields(self):
+        parser = cli.build_parser()
+        tcfg, mcfg, _, _ = cli.resolve_configs(parser.parse_args(
+            ["train", "--dataset", "x", "--out", "y", "--descriptor-dim", "5",
+             "--pooling", "mac", "--epochs", "2", "--batch", "3",
+             "--batch-limit", "9"]))
+        assert (mcfg.descriptor_dim, mcfg.pooling) == (5, "mac")
+        assert (tcfg.epochs, tcfg.initial_batch, tcfg.batch_limit) == (2, 3, 9)
+        *_, ecfg = cli.resolve_configs(parser.parse_args(
+            ["eval", *REQUIRED["eval"], "--radius", "7.5"]))
+        assert ecfg.success_radius == 7.5
+
+    def test_dropped_config_key_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("top_n_percent = 1\n")
+        code = run(["eval", "--config", str(cfg), *REQUIRED["eval"]])
+        assert code == cli.EXIT_DATA
+        assert "unknown config key: top_n_percent" in capsys.readouterr().err
 
 
 class TestConfigResolution:
@@ -98,6 +159,33 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
 
 
+    def assert_os_error_is_2(self, argv, capsys):
+        assert run(argv) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_checkpoint_is_directory_is_2(self, tmp_path, synth_root, capsys):
+        self.assert_os_error_is_2(
+            ["embed", "--checkpoint", str(tmp_path),
+             "--index", os.path.join(synth_root, "index.csv"),
+             "--out", str(tmp_path / "d.db")], capsys)
+
+    def test_train_out_is_file_is_2(self, tmp_path, synth_root, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        self.assert_os_error_is_2(["train", "--dataset", synth_root,
+                                   "--out", str(out)], capsys)
+
+    def test_eval_out_is_directory_is_2(self, tmp_path, capsys):
+        paths = [str(tmp_path / f"run{r}.db") for r in range(2)]
+        for r, path in enumerate(paths):
+            save_database(path, DescriptorDatabase(
+                np.ones((3, 3)), np.zeros(3), np.zeros(3), np.arange(3) + 10 * r))
+        self.assert_os_error_is_2(["eval", "--db", paths[0], "--query",
+                                   paths[1], "--out", str(tmp_path)], capsys)
+
+
 class TestGradcheckCommand:
     def test_passes_and_reports(self, capsys):
         assert run(["gradcheck", "--seed", "0"]) == cli.EXIT_OK
@@ -146,6 +234,51 @@ class TestPipeline:
         db = load_database(db_path)
         assert len(db) == 3 and db.dim == 3
         assert "clouds/s" in capsys.readouterr().out
+
+    def test_index_is_directory_is_2(self, pipeline, tmp_path, capsys):
+        code = run(["embed", "--config", pipeline["cfg"],
+                    "--checkpoint", pipeline["ckpt"],
+                    "--index", str(tmp_path), "--out", str(tmp_path / "d.db")])
+        assert code == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_shape_comes_from_checkpoint(self, pipeline, capsys):
+        # the tiny widths are read from the checkpoint, not from tiny.cfg
+        step_only = pipeline["base"] / "step_only.cfg"
+        step_only.write_text("quantization_step = 0.02\n")
+        cloud = os.path.join(pipeline["root"], "place000_rev00.bin")
+        outputs = []
+        for i, cfg in enumerate((pipeline["cfg"], str(step_only))):
+            db_path = str(pipeline["base"] / f"shape{i}.db")
+            assert run(["embed", "--config", cfg,
+                        "--checkpoint", pipeline["ckpt"],
+                        "--index", os.path.join(pipeline["root"], "run_0.csv"),
+                        "--out", db_path]) == cli.EXIT_OK
+            capsys.readouterr()
+            assert run(["query", "--config", cfg,
+                        "--checkpoint", pipeline["ckpt"], "--db", db_path,
+                        "--cloud", cloud, "-k", "3"]) == cli.EXIT_OK
+            with open(db_path, "rb") as db, open(db_path + ".geo.csv") as geo:
+                outputs.append((db.read(), geo.read(),
+                                capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+    def test_checkpoint_without_lateral_is_2(self, pipeline, capsys):
+        state = load_checkpoint(pipeline["ckpt"])
+        del state["lateral2.w"]
+        bad = str(pipeline["base"] / "no_lateral.ckpt")
+        save_checkpoint(bad, state)
+        out = pipeline["base"] / "no_lateral.db"
+        code = run(["embed", "--config", pipeline["cfg"], "--checkpoint", bad,
+                    "--index", os.path.join(pipeline["root"], "run_0.csv"),
+                    "--out", str(out)])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "checkpoint" in err
+        assert "lateral2.w" in err
+        assert not out.exists()
 
     def test_embed_deterministic(self, pipeline, capsys):
         paths = [str(pipeline["base"] / f"det{i}.db") for i in range(2)]

@@ -12,7 +12,8 @@ from sparseloc import (MinkLoc, ModelConfig, PointCloud, SparseTensor, Tape,
 from sparseloc import layers, sparse
 from sparseloc.errors import EmptyInput, FormatError
 from sparseloc.gradcheck import max_rel_err, numeric_grad
-from sparseloc.model import _add_lateral, _compose, _l2_normalize
+from sparseloc.model import (_add_lateral, _compose, _l2_normalize,
+                             checkpoint_config)
 from sparseloc.sparse import downsample_coords, downsample_map
 from conftest import TINY_CFG
 
@@ -436,6 +437,38 @@ class TestCheckpoint:
         path.write_bytes(b"SLCKPT1\n" + (1).to_bytes(4, "little") + b"5")
         with pytest.raises(FormatError):
             load_checkpoint(str(path))
+
+    def test_extra_entries_rejected(self):
+        state = MinkLoc(ModelConfig(**TINY_CFG), seed=0).state_dict()
+        mac = MinkLoc(ModelConfig(**TINY_CFG, pooling="mac"), seed=0)
+        with pytest.raises(FormatError, match="gem.p"):
+            mac.load_state_dict(state)
+        state["stray"] = np.zeros(1)
+        with pytest.raises(FormatError, match="stray"):
+            MinkLoc(ModelConfig(**TINY_CFG), seed=0).load_state_dict(state)
+
+    @pytest.mark.parametrize("pooling", ["gem", "mac"])
+    def test_shape_read_from_state(self, pooling):
+        cfg = ModelConfig(conv0_ch=2, conv1_ch=3, conv2_ch=4, conv3_ch=5,
+                          descriptor_dim=6, pooling=pooling,
+                          quantization_step=0.05, normalize=True)
+        state = MinkLoc(cfg, seed=0).state_dict()
+        got = checkpoint_config(state, ModelConfig(quantization_step=0.05,
+                                                   normalize=True))
+        assert got == cfg
+        MinkLoc(got).load_state_dict(state)
+
+    @pytest.mark.parametrize("damage", ["missing", "not_3d", "no_channels"])
+    def test_shape_from_damaged_state_rejected(self, damage):
+        state = MinkLoc(ModelConfig(**TINY_CFG), seed=0).state_dict()
+        if damage == "missing":
+            del state["conv2.down.w"]
+        elif damage == "not_3d":
+            state["conv2.down.w"] = state["conv2.down.w"][0]
+        else:
+            state["conv2.down.w"] = state["conv2.down.w"][:, :, :0]
+        with pytest.raises(FormatError, match="conv2.down.w"):
+            checkpoint_config(state, ModelConfig())
 
     def test_missing_param_rejected(self, tmp_path):
         cfg = ModelConfig(**TINY_CFG)

@@ -313,6 +313,13 @@ class TestSparseTensor:
         with pytest.raises(ValueError):
             make_tensor([[0, 1, 0, 0]], stride=2)
 
+    def test_one_dimensional_features_are_one_channel(self):
+        coords = np.array([[0, 0, 0, 0], [0, 1, 0, 0], [0, 2, 0, 0]])
+        assert SparseTensor(coords, np.arange(3.0)).features.shape == (3, 1)
+        for n in (2, 6):
+            with pytest.raises(ValueError, match="row counts"):
+                SparseTensor(coords, np.arange(float(n)))
+
     def test_rows_of_hits_and_misses(self):
         x = make_tensor([[0, 0, 0, 0], [0, 3, 1, 2]])
         rows = x.rows_of(np.array([[0, 3, 1, 2], [0, 9, 9, 9], [0, 0, 0, 0]]))
