@@ -105,23 +105,25 @@ def _file_descriptor(model: MinkLoc, pts: np.ndarray, source) -> Descriptor:
         return compute_descriptor(PointCloud(pts, source), model)
 
 
-def _embed_records(model: MinkLoc, dataset: data_io.Dataset,
+def _embed_records(model: MinkLoc, root: str,
+                   records: list[data_io.PointCloudRecord],
                    report=None) -> ev.DescriptorDatabase:
-    descs, north, east, ids = [], [], [], []
+    """Descriptors of the records' clouds in id order, each cloud read
+    from ``root`` once and dropped after its descriptor."""
+    records = sorted(records, key=lambda rec: rec.id)
+    descs = []
     t0 = time.perf_counter()
-    for rid in sorted(dataset.records):
-        rec = dataset.records[rid]
-        d = _file_descriptor(model, dataset.load_points(rid), rid)
-        descs.append(d.values)
-        north.append(rec.northing)
-        east.append(rec.easting)
-        ids.append(rid)
+    for rec in records:
+        pts = data_io.load_cloud(os.path.join(root, rec.path))
+        descs.append(_file_descriptor(model, pts, rec.id).values)
     dt = time.perf_counter() - t0
     if report:
-        report(f"embedded {len(ids)} clouds in {dt:.2f}s "
-               f"({len(ids) / dt:.1f} clouds/s)")
-    return ev.DescriptorDatabase(np.stack(descs), np.array(north),
-                                 np.array(east), np.array(ids))
+        report(f"embedded {len(records)} clouds in {dt:.2f}s "
+               f"({len(records) / dt:.1f} clouds/s)")
+    return ev.DescriptorDatabase(
+        np.stack(descs), np.array([rec.northing for rec in records]),
+        np.array([rec.easting for rec in records]),
+        np.array([rec.id for rec in records]))
 
 
 def cmd_train(args) -> int:
@@ -137,9 +139,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    records = data_io.load_index(args.index)
+    if len({rec.id for rec in records}) != len(records):
+        raise DatasetError("duplicate record ids in index")
     model = _load_model(args)
-    dataset = data_io.Dataset.from_index(args.index)
-    db = _embed_records(model, dataset, report=print)
+    db = _embed_records(model, os.path.dirname(os.path.abspath(args.index)),
+                        records, report=print)
     ev.save_database(args.out, db)
     print(f"wrote {args.out}: count={len(db)} dim={db.dim}")
     return EXIT_OK

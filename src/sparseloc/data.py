@@ -59,13 +59,21 @@ def write_cloud(path: str, points: np.ndarray):
 
 
 def load_index(path: str) -> list[PointCloudRecord]:
+    """The index's records.  A missing column or field, a value that does
+    not parse and an id outside int64 raise ``FormatError``."""
     records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(PointCloudRecord(
-                id=int(row["id"]), path=row["path"],
-                northing=float(row["northing"]), easting=float(row["easting"]),
-                split=row.get("split", "train")))
+        try:
+            for row in csv.DictReader(fh):
+                rid = int(row["id"])
+                if not -2 ** 63 <= rid < 2 ** 63:
+                    raise FormatError(f"{path}: id {rid} does not fit in int64")
+                records.append(PointCloudRecord(
+                    id=rid, path=row["path"], northing=float(row["northing"]),
+                    easting=float(row["easting"]),
+                    split=row.get("split", "train")))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: bad index record ({exc!r})") from exc
     if not records:
         raise DatasetError(f"{path}: index has no records")
     return records

@@ -302,7 +302,11 @@ def cross_run_pairings(runs: list[DescriptorDatabase]):
 
 # -- database file ---------------------------------------------------------
 # Layout: magic, uint32 dim, uint32 count, packed float32 LE descriptors.
-# Geo-tags live in a CSV sidecar <path>.geo.csv with header id,northing,easting.
+# Geo-tags live in a CSV sidecar <path>.geo.csv with header id,northing,easting:
+# columns are found by name, others are ignored, and no line is a comment.
+
+_GEO = np.dtype([("id", "<i8"), ("northing", "<f8"), ("easting", "<f8")])
+
 
 def save_database(path: str, db: DescriptorDatabase):
     with np.errstate(over="ignore"):
@@ -321,6 +325,28 @@ def save_database(path: str, db: DescriptorDatabase):
                         repr(float(db.easting[i]))])
 
 
+def _load_geo_tags(sidecar: str):
+    """C-contiguous ``ids``, ``northing`` and ``easting`` from a sidecar,
+    its columns found by name in the header and its body parsed by one
+    ``np.loadtxt`` call.  A missing column or an unreadable row raises
+    ``FormatError``."""
+    with open(sidecar, newline="") as fh:
+        try:
+            header = next(csv.reader([fh.readline()]))
+            column = {name: i for i, name in enumerate(header)}
+            usecols = [column[name] for name in _GEO.names]
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                        "no data", UserWarning)
+                table = np.loadtxt(fh, dtype=_GEO, delimiter=",",
+                                   comments=None, quotechar='"', ndmin=1,
+                                   usecols=usecols)
+        except (KeyError, ValueError) as exc:
+            raise FormatError(f"{sidecar}: corrupt geo-tag sidecar "
+                              f"({exc!r})") from exc
+    return [np.ascontiguousarray(table[name]) for name in _GEO.names]
+
+
 def load_database(path: str) -> DescriptorDatabase:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -329,24 +355,17 @@ def load_database(path: str) -> DescriptorDatabase:
     sidecar = path + ".geo.csv"
     if not os.path.exists(sidecar):
         raise FormatError(f"{sidecar}: missing geo-tag sidecar")
-    ids, northing, easting = [], [], []
-    try:
-        dim, count = struct.unpack_from("<II", data, len(_DB_MAGIC))
-        with open(sidecar, newline="") as fh:
-            for row in csv.DictReader(fh):
-                ids.append(int(row["id"]))
-                northing.append(float(row["northing"]))
-                easting.append(float(row["easting"]))
-    except (KeyError, TypeError, ValueError, struct.error) as exc:
-        raise FormatError(f"{path}: corrupt descriptor database ({exc})") from exc
-    payload = data[len(_DB_MAGIC) + 8:]
-    if len(payload) != dim * count * 4:
+    start = len(_DB_MAGIC) + 8
+    if len(data) < start:
+        raise FormatError(f"{path}: truncated descriptor header")
+    dim, count = struct.unpack_from("<II", data, len(_DB_MAGIC))
+    if len(data) - start != dim * count * 4:
         raise FormatError(f"{path}: truncated descriptor payload")
+    ids, northing, easting = _load_geo_tags(sidecar)
     if len(ids) != count:
         raise FormatError(f"{sidecar}: geo-tag count differs from descriptors")
-    desc = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
+    desc = np.frombuffer(data, "<f4", dim * count, start).reshape(count, dim)
     try:
-        return DescriptorDatabase(desc, np.array(northing), np.array(easting),
-                                  np.array(ids))
+        return DescriptorDatabase(desc, northing, easting, ids)
     except DatasetError as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from sparseloc import (DescriptorDatabase, cli, load_checkpoint, load_database,
-                       save_checkpoint, save_database, write_cloud)
+from sparseloc import (DescriptorDatabase, PointCloudRecord, cli,
+                       load_checkpoint, load_database, save_checkpoint,
+                       save_database, write_cloud, write_index)
+from sparseloc import data as data_io
 from sparseloc.errors import FormatError
 
 
@@ -527,3 +529,94 @@ def test_eval_non_finite_database_is_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {bad}: ")
     assert "id 13 is NaN or infinite" in captured.err
+
+
+def assert_data_error(argv, capsys):
+    assert run(argv) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+def index_of(pipeline, path, ids):
+    """An index whose records, with the given ids, name the pipeline's clouds."""
+    clouds = sorted(f for f in os.listdir(pipeline["root"]) if f.endswith(".bin"))
+    write_index(str(path), [PointCloudRecord(
+        rid, os.path.join(pipeline["root"], cloud), float(i), 0.0)
+        for i, (rid, cloud) in enumerate(zip(ids, clouds))])
+    return str(path)
+
+
+class TestIdsOutsideInt64:
+    """An id that int64 cannot hold exits 2, from a sidecar or an index."""
+
+    @pytest.fixture
+    def huge_id_db(self, tmp_path):
+        path = str(tmp_path / "huge_id.db")
+        save_database(path, DescriptorDatabase(
+            np.ones((3, 3)), np.zeros(3), np.zeros(3), np.arange(3)))
+        with open(path + ".geo.csv") as fh:
+            text = fh.read()
+        with open(path + ".geo.csv", "w") as fh:
+            fh.write(text.replace("\n0,", f"\n{2 ** 63},", 1))
+        return path
+
+    def test_eval(self, tmp_path, huge_id_db, capsys):
+        other = str(tmp_path / "other.db")
+        save_database(other, DescriptorDatabase(
+            np.ones((3, 3)), np.zeros(3), np.zeros(3), np.arange(3) + 10))
+        err = assert_data_error(["eval", "--db", other, "--query", huge_id_db,
+                                 "--out", str(tmp_path / "r.csv")], capsys)
+        assert huge_id_db in err
+
+    def test_query(self, pipeline, huge_id_db, capsys):
+        cloud = os.path.join(pipeline["root"], "place000_rev00.bin")
+        err = assert_data_error(["query", "--config", pipeline["cfg"],
+                                 "--checkpoint", pipeline["ckpt"],
+                                 "--db", huge_id_db, "--cloud", cloud], capsys)
+        assert huge_id_db in err
+
+    def test_embed_before_any_cloud(self, pipeline, tmp_path, capsys,
+                                    monkeypatch):
+        index = index_of(pipeline, tmp_path / "index.csv", [0, 2 ** 63])
+        monkeypatch.setattr(data_io, "load_cloud", pytest.fail)
+        err = assert_data_error(["embed", "--config", pipeline["cfg"],
+                                 "--checkpoint", pipeline["ckpt"],
+                                 "--index", index,
+                                 "--out", str(tmp_path / "d.db")], capsys)
+        assert "int64" in err and not (tmp_path / "d.db").exists()
+
+
+class TestEmbedIndex:
+    def test_builds_no_tuples_and_reads_each_cloud_once(self, pipeline,
+                                                        tmp_path, capsys,
+                                                        monkeypatch):
+        def no_tuples(*args, **kw):
+            raise AssertionError("embed built training tuples")
+
+        read = []
+        load_cloud = data_io.load_cloud
+        monkeypatch.setattr(data_io, "build_tuples", no_tuples)
+        monkeypatch.setattr(data_io, "load_cloud",
+                            lambda path: read.append(path) or load_cloud(path))
+        index = os.path.join(pipeline["root"], "run_0.csv")
+        out = str(tmp_path / "d.db")
+        assert run(["embed", "--config", pipeline["cfg"],
+                    "--checkpoint", pipeline["ckpt"], "--index", index,
+                    "--out", out]) == cli.EXIT_OK
+        db = load_database(out)
+        assert db.ids.tolist() == [0, 3, 6]
+        assert sorted(read) == sorted(
+            os.path.join(pipeline["root"], rec.path)
+            for rec in data_io.load_index(index))
+
+    def test_duplicate_id_before_any_cloud(self, pipeline, tmp_path, capsys,
+                                           monkeypatch):
+        index = index_of(pipeline, tmp_path / "index.csv", [4, 1, 4])
+        monkeypatch.setattr(data_io, "load_cloud", pytest.fail)
+        err = assert_data_error(["embed", "--config", pipeline["cfg"],
+                                 "--checkpoint", pipeline["ckpt"],
+                                 "--index", index,
+                                 "--out", str(tmp_path / "d.db")], capsys)
+        assert "duplicate record ids" in err

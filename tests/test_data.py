@@ -1,6 +1,7 @@
 """File formats, geo-tag tuples, and synthetic dataset construction."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,29 @@ class TestIndexIO:
         path = str(tmp_path / "index.csv")
         write_index(path, recs)
         assert load_index(path) == recs
+
+    def test_int64_bounds_load(self, tmp_path):
+        recs = [PointCloudRecord(-2 ** 63, "a.bin", 0.0, 0.0),
+                PointCloudRecord(2 ** 63 - 1, "b.bin", 0.0, 0.0)]
+        path = str(tmp_path / "index.csv")
+        write_index(path, recs)
+        assert load_index(path) == recs
+
+    @pytest.mark.parametrize("rid", [2 ** 63, -2 ** 63 - 1])
+    def test_id_outside_int64_rejected(self, tmp_path, rid):
+        path = str(tmp_path / "index.csv")
+        write_index(path, [PointCloudRecord(rid, "a.bin", 0.0, 0.0)])
+        with pytest.raises(FormatError, match="int64"):
+            load_index(path)
+
+    @pytest.mark.parametrize("text", ["id,northing,easting\n0,1.0,2.0\n",
+                                      "id,path,northing,easting\n0,a.bin\n",
+                                      "id,path,northing,easting\nx,a,1,2\n"])
+    def test_bad_record_rejected(self, tmp_path, text):
+        path = tmp_path / "index.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            load_index(str(path))
 
     def test_empty_index_rejected(self, tmp_path):
         path = tmp_path / "index.csv"

@@ -1,11 +1,15 @@
 """Nearest-neighbour search and the Recall@N evaluation protocol."""
 
+import csv
 import os
 import re
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparseloc import (DescriptorDatabase, EvalConfig, average_recall, cli,
                        knn, load_database, one_percent_cutoff, recall_at_n,
@@ -558,3 +562,106 @@ class TestDatabaseIO:
         with pytest.raises(ValueError, match="float32"):
             save_database(str(tmp_path / "d.db"), db)
         assert list(tmp_path.iterdir()) == []
+
+
+def rewrite_sidecar(path, edit):
+    """Replace the sidecar's rows (header first) with ``edit(rows)``."""
+    with open(path + ".geo.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(path + ".geo.csv", "w", newline="") as fh:
+        fh.write("\n".join(",".join(row) for row in edit(rows)) + "\n")
+
+
+def assert_same_arrays(got, want):
+    for name in ("ids", "northing", "easting", "descriptors"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        # compare bits, so -0.0 differs from 0.0
+        assert a.tobytes() == b.tobytes(), name
+
+
+GEO = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestSidecarReader:
+    @pytest.fixture
+    def saved(self, tmp_path, rng):
+        db = make_db(rng.normal(size=(5, 3)), rng.uniform(-1e4, 1e4, 5),
+                     [7, -3, 12, 0, 2 ** 40], east=rng.uniform(-1e4, 1e4, 5))
+        path = str(tmp_path / "d.db")
+        save_database(path, db)
+        return path, load_database(path)
+
+    @given(rows=st.lists(st.tuples(st.integers(-2 ** 63, 2 ** 63 - 1), GEO,
+                                   GEO, st.floats(width=32, allow_nan=False,
+                                                  allow_infinity=False)),
+                         max_size=8, unique_by=lambda row: row[0]))
+    @example(rows=[(-2 ** 63, -0.0, 5e-324, -0.0),
+                   (2 ** 63 - 1, 1e308, -2.2250738585072014e-308,
+                    1.401298464324817e-45),
+                   (0, -1e308, 0.0, 3.4028234663852886e38)])
+    @settings(max_examples=50, deadline=None)
+    def test_roundtrip_is_bit_exact(self, rows):
+        ids, north, east, desc = (
+            np.array([row[i] for row in rows], dtype)
+            for i, dtype in enumerate((np.int64, float, float, float)))
+        db = DescriptorDatabase(desc.reshape(-1, 1), north, east, ids)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.db")
+            save_database(path, db)
+            assert_same_arrays(load_database(path), db)
+
+    def test_columns_found_by_name(self, saved):
+        path, want = saved
+        # header id,northing,easting becomes easting,note,id,northing
+        rewrite_sidecar(path, lambda rows: [[r[2], "x" if i else "note",
+                                             r[0], r[1]]
+                                            for i, r in enumerate(rows)])
+        assert_same_arrays(load_database(path), want)
+
+    def test_quoted_values_accepted(self, saved):
+        path, want = saved
+        rewrite_sidecar(path, lambda rows: [[f'"{v}"' for v in r]
+                                            for r in rows])
+        assert_same_arrays(load_database(path), want)
+
+    def test_empty_database_loads_without_warning(self, tmp_path):
+        path = str(tmp_path / "d.db")
+        save_database(path, DescriptorDatabase(np.zeros((0, 3)), [], [], []))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = load_database(path)
+        assert len(back) == 0 and back.dim == 3
+
+    def test_fields_are_contiguous_with_their_dtypes(self, saved):
+        _, db = saved
+        for name, dtype in (("ids", np.int64), ("northing", np.float64),
+                            ("easting", np.float64)):
+            array = getattr(db, name)
+            assert array.dtype == dtype and array.flags.c_contiguous, name
+
+    @pytest.mark.parametrize("damage,edit", [
+        ("comment row", lambda rows: rows[:2] + [["#" + rows[2][0]]
+                                                 + rows[2][1:]] + rows[3:]),
+        ("comment line", lambda rows: rows + [["# a comment"]]),
+        ("missing field", lambda rows: rows[:2] + [rows[2][:2]] + rows[3:]),
+        ("float id", lambda rows: rows[:1] + [["1.0"] + rows[1][1:]]
+         + rows[2:]),
+        ("id past int64", lambda rows: rows[:1] + [[str(2 ** 63)]
+                                                   + rows[1][1:]] + rows[2:]),
+        ("no easting column", lambda rows: [["id", "northing", "east"]]
+         + rows[1:]),
+        ("count mismatch", lambda rows: rows[:-1]),
+    ])
+    def test_damaged_sidecar_refused(self, saved, damage, edit):
+        path, _ = saved
+        rewrite_sidecar(path, edit)
+        with pytest.raises(FormatError, match=re.escape(path + ".geo.csv")):
+            load_database(path)
+
+    def test_truncated_payload_refused(self, saved):
+        path, _ = saved
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 4)
+        with pytest.raises(FormatError, match="truncated descriptor payload"):
+            load_database(path)
