@@ -38,6 +38,9 @@ class DescriptorDatabase:
         if desc.ndim != 2:
             raise DatasetError(f"descriptors of shape {desc.shape} are not "
                                f"one row per id for {len(self.ids)} ids")
+        if desc.shape[1] == 0:
+            # zero-width rows are all at distance 0, so every query would hit
+            raise DatasetError("descriptors have zero columns")
         self.northing = np.asarray(northing, dtype=np.float64)
         self.easting = np.asarray(easting, dtype=np.float64)
         counts = [len(a) for a in (desc, self.northing, self.easting,

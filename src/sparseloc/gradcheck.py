@@ -139,13 +139,13 @@ def check_relu(rng) -> CheckResult:
 
 
 def check_sparse_add(rng) -> CheckResult:
+    # the residual add: both operands on one voxel set
     a = _random_tensor(rng, n=10, c=3, span=3)
-    b = _random_tensor(rng, n=10, c=3, span=4)
-    mix = rng.normal(size=(24, 3))
+    b = a.with_features(rng.normal(size=(a.n, 3)))
+    mix = rng.normal(size=(a.n, 3))
 
     def forward(tape):
-        out = sparse_add(a, b, tape)
-        return _dot(out.fvar, mix[: out.n], tape)
+        return _dot(sparse_add(a, b, tape).fvar, mix, tape)
 
     return _check("sparse_add", forward, [("a", a.fvar), ("b", b.fvar)], 1e-4)
 

@@ -199,48 +199,33 @@ def relu(x: SparseTensor, tape: Tape | None = None) -> SparseTensor:
 
 def sparse_add(a: SparseTensor, b: SparseTensor,
                tape: Tape | None = None) -> SparseTensor:
-    """Feature sum over the coordinate union, zero-filled where one side is absent."""
+    """Row-wise feature sum of two tensors on one voxel set, on ``a``'s voxels.
+
+    This is the residual add: both operands share one geometry, or at least
+    equal keys in the same order.  Any other pair is refused.
+    """
     if a.stride != b.stride:
         raise StrideError(f"stride mismatch: {a.stride} vs {b.stride}")
     if a.channels != b.channels:
         raise ShapeError(f"channel mismatch: {a.channels} vs {b.channels}")
-    if a.coords is b.coords:
-        # shared coordinate set (e.g. a residual branch): direct row-wise sum
-        yvar = Var(a.features + b.features)
-        if tape is not None:
-            avar, bvar = a.fvar, b.fvar
-
-            def backward_same():
-                g = yvar.grad
-                if g is None:
-                    return
-                # yvar keeps g, so hand each input a view: add_grad copies
-                # a view rather than adopt it
-                avar.add_grad(g[:])
-                bvar.add_grad(g[:])
-
-            tape.record(backward_same)
-        return a.with_features(yvar)
-    rows_b = a.rows_of(b.coords)
-    new_mask = rows_b < 0
-    out_keys = np.concatenate([a.keys(), b.keys()[new_mask]])
-    rows_b = np.where(new_mask, a.n + np.cumsum(new_mask) - 1, rows_b)
-    out = np.zeros((len(out_keys), a.channels))
-    out[: a.n] = a.features
-    out[rows_b] += b.features
-    yvar = Var(out)
+    if a._geom is not b._geom and not np.array_equal(a.keys(), b.keys()):
+        raise ShapeError(f"sparse_add needs one voxel set, got {a.n} "
+                         f"and {b.n} voxels on different coordinates")
+    yvar = Var(a.features + b.features)
     if tape is not None:
-        avar, bvar, na = a.fvar, b.fvar, a.n
+        avar, bvar = a.fvar, b.fvar
 
-        def backward():
+        def backward_same():
             g = yvar.grad
             if g is None:
                 return
-            avar.add_grad(g[:na])
-            bvar.add_grad(g[rows_b])
+            # yvar keeps g, so hand each input a view: add_grad copies
+            # a view rather than adopt it
+            avar.add_grad(g[:])
+            bvar.add_grad(g[:])
 
-        tape.record(backward)
-    return SparseTensor.from_keys(out_keys, yvar, a.stride)
+        tape.record(backward_same)
+    return a.with_features(yvar)
 
 
 class SparseConv:

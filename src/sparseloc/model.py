@@ -338,8 +338,13 @@ class MinkLoc:
                                   f"{arr.shape} vs {shape}")
             return arr.copy()
 
+        values = {name: fetch(name, var.value.shape) for name, var in params.items()}
+        p = values.get("gem.p")
+        if p is not None and not (np.isfinite(p) and p > 0):
+            raise FormatError(f"checkpoint gem.p must be finite and positive, "
+                              f"got {float(p)}")
         for name, var in params.items():
-            var.value = fetch(name, var.value.shape)
+            var.value = values[name]
         for name, bn in bns.items():
             bn.running_mean = fetch(f"{name}.mean", bn.running_mean.shape)
             bn.running_var = fetch(f"{name}.var", bn.running_var.shape)

@@ -171,13 +171,6 @@ class SparseTensor:
             self._geom.sorted = (keys[order], order)
         return self._geom.sorted
 
-    def rows_of(self, coords: np.ndarray):
-        """Row index per query coordinate, -1 where absent."""
-        skeys, order = self._sorted_index()
-        q = pack_coords(np.asarray(coords, dtype=np.int64).reshape(-1, 4))
-        pos = np.minimum(np.searchsorted(skeys, q), len(skeys) - 1)
-        return np.where(skeys[pos] == q, order[pos], -1)
-
 
 def quantize(cloud: PointCloud, step: float, batch: int = 0) -> SparseTensor:
     """Voxelize a point cloud: floor(coord / step), single occupancy channel.
@@ -222,11 +215,6 @@ class KernelMap:
 
     def pair_count(self) -> int:
         return len(self.rows_in)
-
-    def get(self, offset):
-        k = self.offsets.index(tuple(offset))
-        lo, hi = self.bounds[k], self.bounds[k + 1]
-        return self.rows_in[lo:hi], self.rows_out[lo:hi]
 
 
 def build_kernel_map(in_tensor: SparseTensor, out_coords: np.ndarray,

@@ -328,5 +328,7 @@ def train(dataset, model: MinkLoc, cfg: TrainingConfig,
             break
         batch_size = dynamic_batch_expand(active_ratio, batch_size, cfg)
         if batch_size % 2:
-            batch_size += 1  # keep pairable
+            # keep pairable: an odd size at the limit steps down, not past it
+            at_limit = batch_size == cfg.batch_limit and batch_size > 1
+            batch_size += -1 if at_limit else 1
     return history

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparseloc import MinkLoc, ModelConfig
+from sparseloc.sparse import pack_coords
 
 
 TINY_CFG = dict(conv0_ch=2, conv1_ch=2, conv2_ch=2, conv3_ch=2,
@@ -16,6 +17,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def coord_rows(tensor, coords) -> np.ndarray:
+    """Row of ``tensor`` holding each (batch, x, y, z) row of ``coords``,
+    -1 where ``tensor`` has no such voxel."""
+    keys = tensor.keys()
+    order = np.argsort(keys, kind="stable")
+    skeys = keys[order]
+    q = pack_coords(np.asarray(coords, dtype=np.int64).reshape(-1, 4))
+    pos = np.minimum(np.searchsorted(skeys, q), len(skeys) - 1)
+    return np.where(skeys[pos] == q, order[pos], -1)
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import argparse
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -375,6 +376,26 @@ class TestPipeline:
         assert "checkpoint" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("p", [0.0, np.inf, np.nan, -2.0])
+    def test_degenerate_gem_p_is_2(self, pipeline, capsys, p):
+        state = load_checkpoint(pipeline["ckpt"])
+        state["gem.p"] = np.asarray(p)
+        bad = str(pipeline["base"] / f"gem_p_{p}.ckpt")
+        save_checkpoint(bad, state)
+        out = pipeline["base"] / f"gem_p_{p}.db"
+        index = os.path.join(pipeline["root"], "run_0.csv")
+        cloud = os.path.join(pipeline["root"], "place000_rev00.bin")
+        for argv in (["embed", "--index", index, "--out", str(out)],
+                     ["query", "--db", str(pipeline["base"] / "q.db"),
+                      "--cloud", cloud]):
+            code = run(argv + ["--config", pipeline["cfg"], "--checkpoint", bad])
+            assert code == cli.EXIT_DATA
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "gem.p" in captured.err
+            assert "Traceback" not in captured.err
+        assert not out.exists()
+
 
     def test_query_dimension_mismatch_is_2(self, pipeline, capsys):
         db_path = str(pipeline["base"] / "dim5.db")
@@ -529,6 +550,30 @@ def test_eval_non_finite_database_is_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {bad}: ")
     assert "id 13 is NaN or infinite" in captured.err
+
+
+def test_eval_zero_width_database_is_2(tmp_path, capsys):
+    # a header of dim 0: every distance would be 0 and every query a hit
+    good = str(tmp_path / "run0.db")
+    save_database(good, DescriptorDatabase(np.ones((3, 3)), np.zeros(3),
+                                           np.zeros(3), np.arange(3)))
+    bad = str(tmp_path / "run1.db")
+    save_database(bad, DescriptorDatabase(np.ones((3, 1)), np.zeros(3),
+                                          np.zeros(3), np.arange(3) + 10))
+    with open(bad, "rb") as fh:
+        magic = fh.read(len(b"SLDESC1\n"))
+    with open(bad, "wb") as fh:
+        fh.write(magic + struct.pack("<II", 0, 3))
+    with pytest.raises(FormatError, match="zero columns"):
+        load_database(bad)
+    code = run(["eval", "--db", good, "--query", bad,
+                "--out", str(tmp_path / "r.csv")])
+    assert code == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert "zero columns" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def assert_data_error(argv, capsys):

@@ -6,6 +6,7 @@ import pytest
 from sparseloc import (BatchNorm, SparseTensor, Tape, Var, kernel_offsets,
                        relu, sparse_add, sparse_conv, sparse_transposed_conv)
 from sparseloc.errors import EmptyInput, ShapeError, StrideError
+from conftest import coord_rows
 
 
 def full_grid_tensor(rng, side, c):
@@ -124,7 +125,7 @@ class TestTransposedConv:
         wt = Var(np.transpose(w.value, (0, 2, 1)))
         back = sparse_transposed_conv(y, wt, kernel_size=2, stride=2)
         lhs = float((fwd.features * y.features).sum())
-        rows = back.rows_of(x.coords)
+        rows = coord_rows(back, x.coords)
         rhs = float((x.features * back.features[rows]).sum())
         assert abs(lhs - rhs) < 1e-8
 
@@ -261,14 +262,22 @@ class TestSparseAdd:
         out = sparse_add(a, b)
         assert out.features.ravel().tolist() == [11.0, 22.0]
 
-    def test_disjoint_coords_zero_fill(self):
-        a = SparseTensor(np.array([[0, 0, 0, 0]]), np.array([[1.0]]))
-        b = SparseTensor(np.array([[0, 2, 0, 0]]), np.array([[5.0]]))
+    def test_disjoint_coords_refused(self):
+        # the add is the residual add: one voxel set, in one row order
+        coords = np.array([[0, 0, 0, 0], [0, 1, 0, 0]])
+        a = SparseTensor(coords, np.array([[1.0], [2.0]]))
+        for other in (np.array([[0, 2, 0, 0]]), coords[:1], coords[::-1]):
+            b = SparseTensor(other, np.ones((len(other), 1)))
+            with pytest.raises(ShapeError, match=f"got 2 and {len(other)} voxels"):
+                sparse_add(a, b)
+
+    def test_sum_on_first_operands_voxels(self):
+        a = SparseTensor(np.array([[0, 0, 0, 0], [0, 1, 0, 0]]),
+                         np.array([[1.0], [2.0]]))
+        b = a.with_features(np.array([[10.0], [20.0]]))
         out = sparse_add(a, b)
-        assert out.n == 2
-        got = {tuple(c): f[0] for c, f in zip(out.coords.tolist(),
-                                              out.features.tolist())}
-        assert got == {(0, 0, 0, 0): 1.0, (0, 2, 0, 0): 5.0}
+        assert out._geom is a._geom
+        assert out.features.ravel().tolist() == [11.0, 22.0]
 
     def test_additive_identity(self):
         coords = np.array([[0, 0, 0, 0], [0, 1, 1, 1]])

@@ -15,7 +15,7 @@ from sparseloc.gradcheck import max_rel_err, numeric_grad
 from sparseloc.model import (_add_lateral, _compose, _l2_normalize,
                              checkpoint_config)
 from sparseloc.sparse import downsample_coords, downsample_map
-from conftest import TINY_CFG
+from conftest import TINY_CFG, coord_rows
 
 
 def column_tensor(values, batch=None):
@@ -264,7 +264,7 @@ class TestBackbone:
         top = up.with_features(np.zeros((up.n, 1)))
         ids = x2.with_features(np.arange(1.0, x2.n + 1))
         out = _add_lateral(top, ids, downsample_map(x2, 2), None)
-        rows = top.rows_of(x2.coords)
+        rows = coord_rows(top, x2.coords)
         assert rows.min() >= 0
         assert np.array_equal(out.features[rows], ids.features)
         assert np.count_nonzero(out.features) == x2.n
@@ -288,6 +288,23 @@ class TestBackbone:
                           tiny_model.cfg.quantization_step)
         tiny_model.backbone(st, Tape(), train=True)
         assert sorted(kernel_sizes) == [2, 2, 2, 3, 3, 3, 3, 3, 3, 5]
+
+    def test_residual_add_on_one_geometry(self, tiny_model, monkeypatch):
+        # every add of a forward, taped in training or untaped in eval, is
+        # the residual add: both operands share one voxel geometry
+        shared = []
+
+        def checked(a, b, tape=None):
+            shared.append(a._geom is b._geom)
+            return layers.sparse_add(a, b, tape)
+
+        monkeypatch.setattr("sparseloc.model.sparse_add", checked)
+        rng = np.random.default_rng(6)
+        clouds = [PointCloud(rng.uniform(-0.9, 0.9, size=(150, 3)))
+                  for _ in range(2)]
+        tiny_model.embed_clouds(clouds, Tape(), train=True)
+        tiny_model.embed_clouds(clouds)
+        assert shared == [True] * 6   # one per block, in each forward
 
     def test_every_voxel_set_in_key_order(self, tiny_model, monkeypatch):
         # quantize, the batch and each downsample of a real forward list
@@ -437,6 +454,18 @@ class TestCheckpoint:
         path.write_bytes(b"SLCKPT1\n" + (1).to_bytes(4, "little") + b"5")
         with pytest.raises(FormatError):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("p", [0.0, np.inf, np.nan, -2.0])
+    def test_degenerate_gem_p_rejected(self, p):
+        # GeM needs a finite p > 0; a refused state leaves the model as it was
+        model = MinkLoc(ModelConfig(**TINY_CFG), seed=0)
+        before = model.state_dict()
+        state = MinkLoc(ModelConfig(**TINY_CFG), seed=1).state_dict()
+        state["gem.p"] = np.asarray(p)
+        with pytest.raises(FormatError, match="gem.p"):
+            model.load_state_dict(state)
+        after = model.state_dict()
+        assert all(np.array_equal(after[k], before[k]) for k in before)
 
     def test_extra_entries_rejected(self):
         state = MinkLoc(ModelConfig(**TINY_CFG), seed=0).state_dict()

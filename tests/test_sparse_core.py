@@ -10,11 +10,19 @@ from sparseloc import (PointCloud, SparseTensor, Var, build_kernel_map,
 from sparseloc import layers, sparse
 from sparseloc.errors import EmptyInput
 from sparseloc.sparse import downsample_map, pack_coords, unpack_keys
+from conftest import coord_rows
 
 
 def make_tensor(coords, stride=1, channels=1):
     coords = np.asarray(coords, dtype=np.int64)
     return SparseTensor(coords, np.ones((len(coords), channels)), stride=stride)
+
+
+def segment(kmap, offset):
+    """(rows_in, rows_out) of one offset's segment of a kernel map."""
+    k = kmap.offsets.index(tuple(offset))
+    lo, hi = kmap.bounds[k], kmap.bounds[k + 1]
+    return kmap.rows_in[lo:hi], kmap.rows_out[lo:hi]
 
 
 class TestQuantize:
@@ -112,7 +120,7 @@ class TestKernelMap:
     def test_identity_kernel_single_pair(self):
         x = make_tensor([[0, 0, 0, 0]])
         kmap = build_kernel_map(x, x.coords, kernel_size=1)
-        ri, ro = kmap.get((0, 0, 0))
+        ri, ro = segment(kmap, (0, 0, 0))
         assert ri.tolist() == [0] and ro.tolist() == [0]
         assert kmap.pair_count() == 1
 
@@ -122,8 +130,8 @@ class TestKernelMap:
         out = np.array([[0, 0, 0, 0]])
         kmap = build_kernel_map(x, out, kernel_size=3)
         assert kmap.pair_count() == 2
-        assert kmap.get((0, 0, 0))[0].tolist() == [0]
-        assert kmap.get((1, 0, 0))[0].tolist() == [1]
+        assert segment(kmap, (0, 0, 0))[0].tolist() == [0]
+        assert segment(kmap, (1, 0, 0))[0].tolist() == [1]
 
     def test_out_of_reach_is_empty(self):
         x = make_tensor([[0, 0, 0, 0]])
@@ -162,7 +170,7 @@ class TestKernelMap:
                 cand = (oc[0], oc[1] + off[0], oc[2] + off[1], oc[3] + off[2])
                 if cand in in_set:
                     expect += 1
-                    ri, ro = kmap.get(off)
+                    ri, ro = segment(kmap, off)
                     pairs = set(zip(ri.tolist(), ro.tolist()))
                     assert (in_set[cand], o) in pairs
         assert kmap.pair_count() == expect
@@ -321,7 +329,9 @@ class TestSparseTensor:
                 SparseTensor(coords, np.arange(float(n)))
 
     def test_rows_of_hits_and_misses(self):
-        x = make_tensor([[0, 0, 0, 0], [0, 3, 1, 2]])
-        rows = x.rows_of(np.array([[0, 3, 1, 2], [0, 9, 9, 9], [0, 0, 0, 0]]))
-        assert rows.tolist() == [1, -1, 0]
+        # the tests' coordinate lookup, on a tensor not in key order
+        x = make_tensor([[0, 3, 1, 2], [0, 0, 0, 0], [1, 0, 0, 0]])
+        rows = coord_rows(x, np.array([[0, 0, 0, 0], [0, 9, 9, 9],
+                                       [1, 0, 0, 0], [0, 3, 1, 2]]))
+        assert rows.tolist() == [1, -1, 2, 0]
 

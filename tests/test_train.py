@@ -1,5 +1,6 @@
 """Mining, loss, augmentation, optimizer, and the training loop."""
 
+import importlib
 import os
 
 import numpy as np
@@ -415,6 +416,18 @@ class TestTrainLoop:
         with open(os.path.join(out, "metrics.csv")) as fh:
             lines = fh.read().strip().splitlines()
         assert len(lines) == 1 + cfg.epochs
+
+    def test_odd_limit_is_not_overshot(self, synth_root, monkeypatch):
+        # growth forced every epoch: 4 grows to the odd limit 5, which must
+        # round down to an even size, not up past the limit
+        train_module = importlib.import_module("sparseloc.train")
+        expand = train_module.dynamic_batch_expand
+        monkeypatch.setattr(train_module, "dynamic_batch_expand",
+                            lambda ratio, current, cfg: expand(0.0, current, cfg))
+        ds, model, cfg = self._setup(synth_root)
+        cfg.batch_limit, cfg.epochs = 5, 3
+        hist = train(ds, model, cfg, seed=0)
+        assert [h.batch_size for h in hist] == [4, 4, 4]
 
     def test_batch_sizes_non_decreasing(self, synth_root):
         ds, model, cfg = self._setup(synth_root)
