@@ -131,7 +131,6 @@ def cmd_train(args) -> int:
     dataset = data_io.Dataset.from_index(
         os.path.join(args.dataset, "index.csv"))
     model = MinkLoc(mcfg, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
     train(dataset, model, tcfg, acfg, seed=args.seed, out_dir=args.out,
           log=print)
     print(f"final checkpoint: {os.path.join(args.out, f'epoch_{tcfg.epochs}.ckpt')}")

@@ -69,6 +69,11 @@ def _batch_slices(coords: np.ndarray):
     return order, ids.tolist(), list(zip(starts, ends))
 
 
+# Rows per GeM block: 256 rows x 256 channels of float64 is 512 KiB, which
+# stays in a 2 MiB L2 from the clamp through log, exp and the column sums.
+_GEM_BLOCK = 256
+
+
 def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
              eps: float = 1e-6):
     """Generalized-mean pooling per batch item.
@@ -76,38 +81,55 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
     g_k = (mean_j clamp(f_jk, eps)^p)^(1/p); differentiable in features and p.
     Returns (Var of shape (B, c), list of batch ids).
 
-    GeM holds one full-size buffer, ``powers``, with or without a tape.  Each
-    item's rows of f are clamped into a contiguous row slice of it and raised
-    to p in place (by einsum for small integer p without a tape).  Where the
-    direct power could overflow, values are max * (mean (c/max)^p)^(1/p), so
-    the ratios stay in (0, 1].  The backward clamps f again one item at a
-    time and builds the input gradient in place in ``powers``, which the
-    feature Var then adopts.
+    Each item's rows run in blocks of ``_GEM_BLOCK`` rows, one block at a
+    time while it is in cache: clamp, r^p as exp(p log r), and column sums
+    as ``ones @ block``.  Every p, integer or not, with or without a tape,
+    takes this one path.  Without a tape the blocks go through one
+    block-sized scratch buffer, so nothing of the map's size is allocated.
+    With a tape they go into the rows of ``powers``, which the backward
+    turns into the input gradient in place, and the forward also sums
+    r^p p log r for dy/dp.  Where the direct power could overflow, values
+    are max * (mean (c/max)^p)^(1/p), so the ratios stay in (0, 1].
     """
     f = fmap.features
     if len(f) == 0:
         raise EmptyInput("cannot pool an empty feature map")
     p = float(p_var.value)
     order, ids, bounds = _batch_slices(fmap.coords)
-    # each item's rows of f, in the order they take in powers
-    rows = [slice(s, e) if order is None else order[s:e] for s, e in bounds]
+    sizes = np.array([e - s for s, e in bounds], dtype=float)[:, None]
+
+    def rows(i, j):
+        """Rows i:j of f in item order."""
+        return f[i:j] if order is None else f[order[i:j]]
+
+    def blocks(s, e):
+        return [(i, min(i + _GEM_BLOCK, e)) for i in range(s, e, _GEM_BLOCK)]
+
     # skip the ratio normalization when the direct power cannot overflow
     direct = p * np.log(max(float(f.max()), 1.0)) < 300.0
-    # eval mode with a small integer p: single-pass reduction, no temporaries
-    use_einsum = tape is None and p == int(p) and 2 <= p <= 4
-    powers = np.empty_like(f)   # (clamp(f, eps)/max)^p, item by item
+    scratch = np.empty((min(_GEM_BLOCK, len(f)), f.shape[1]))
+    ones = np.ones(len(scratch))
+    powers = None if tape is None else np.empty_like(f)
     maxes = np.ones((len(ids), f.shape[1]))
-    means = np.empty_like(maxes)
+    means = np.zeros_like(maxes)
+    plogs = np.zeros_like(maxes)   # sum_j r^p p log r, with a tape
     for b, (s, e) in enumerate(bounds):
-        r = np.maximum(f[rows[b]], eps, out=powers[s:e])
         if not direct:
-            maxes[b] = r.max(axis=0)
-            r /= maxes[b]
-        if use_einsum:
-            sub = ",".join(["ij"] * int(p)) + "->j"
-            means[b] = np.einsum(sub, *([r] * int(p))) / (e - s)
-        else:
-            means[b] = np.power(r, p, out=r).sum(axis=0) / (e - s)
+            maxes[b] = np.maximum(rows(s, e).max(axis=0), eps)
+        for i, j in blocks(s, e):
+            lg = scratch[:j - i]
+            pb = lg if powers is None else powers[i:j]
+            np.maximum(rows(i, j), eps, out=pb)
+            if not direct:
+                pb /= maxes[b]
+            np.log(pb, out=lg)
+            lg *= p
+            np.exp(lg, out=pb)
+            means[b] += ones[:j - i] @ pb
+            if powers is not None:
+                lg *= pb
+                plogs[b] += ones[:j - i] @ lg
+    means /= sizes
     out = maxes * means ** (1.0 / p)
     yvar = Var(out)
     if tape is not None:
@@ -117,24 +139,22 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
             g = yvar.grad
             if g is None:
                 return
-            gp = 0.0
+            # dy/dp = y / p^2 (mean(r^p p log r) / mean(r^p) - log mean(r^p))
+            dy_dp = out / p ** 2 * (plogs / (sizes * means) - np.log(means))
+            # d g_k / d c_jk = (1/n) mean^(1/p - 1) (c/max)^p max / c:
+            # the max factor cancels in g, so it is treated as a constant
+            coef = g * means ** (1.0 / p - 1.0) * maxes / sizes
             for b, (s, e) in enumerate(bounds):
-                n_b, cb, pb = e - s, np.maximum(f[rows[b]], eps), powers[s:e]
-                # mean (c/max)^p log(c/max), taken before pb becomes gradient
-                mlog = (np.einsum("ij,ij->j", pb, np.log(cb)) / n_b
-                        - means[b] * np.log(maxes[b]))
-                dy_dp = out[b] * (mlog / (p * means[b])
-                                  - np.log(means[b]) / p ** 2)
-                gp += float((g[b] * dy_dp).sum())
-                # d g_k / d c_jk = (1/n) mean^(1/p - 1) (c/max)^p max / c:
-                # the max factor cancels in g, so it is treated as a constant
-                pb /= cb
-                pb *= g[b] * means[b] ** (1.0 / p - 1.0) * maxes[b] / n_b
-                pb *= cb > eps
+                for i, j in blocks(s, e):
+                    cb = np.maximum(rows(i, j), eps, out=scratch[:j - i])
+                    pb = powers[i:j]
+                    pb /= cb
+                    pb *= coef[b]
+                    pb *= cb > eps
             if order is not None:
                 powers[order] = powers.copy()
             fvar.add_grad(powers)
-            p_var.add_grad(np.asarray(gp))
+            p_var.add_grad(np.asarray(float((g * dy_dp).sum())))
 
         tape.record(backward)
     return yvar, ids

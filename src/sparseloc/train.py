@@ -26,6 +26,17 @@ class TrainingConfig:
     weight_decay: float = 1e-3
     margin: float = 0.2
 
+    def validate(self) -> None:
+        """Refuse a schedule ``train`` cannot honour, before it writes."""
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.initial_batch < 2 or self.initial_batch % 2:
+            raise ValueError("initial_batch must be even and at least 2, "
+                             f"got {self.initial_batch}")
+        if self.batch_limit < self.initial_batch:
+            raise ValueError(f"batch_limit ({self.batch_limit}) must be at "
+                             f"least initial_batch ({self.initial_batch})")
+
 
 @dataclass
 class AugmentConfig:
@@ -270,8 +281,10 @@ def train(dataset, model: MinkLoc, cfg: TrainingConfig,
     dataset must expose ``tuples`` (id -> TrainingTuple) and
     ``load_points(id) -> (n, 3) ndarray``.  Writes an atomic checkpoint and a
     metrics line per epoch when ``out_dir`` is given.  ``stop_loss`` ends
-    training early once the epoch mean loss drops below it.
+    training early once the epoch mean loss drops below it.  A ``cfg`` that
+    ``TrainingConfig.validate`` refuses raises ValueError before any write.
     """
+    cfg.validate()
     aug_cfg = aug_cfg or AugmentConfig()
     rng = np.random.default_rng(seed)
     params = model.named_params()
@@ -329,6 +342,6 @@ def train(dataset, model: MinkLoc, cfg: TrainingConfig,
         batch_size = dynamic_batch_expand(active_ratio, batch_size, cfg)
         if batch_size % 2:
             # keep pairable: an odd size at the limit steps down, not past it
-            at_limit = batch_size == cfg.batch_limit and batch_size > 1
+            at_limit = batch_size == cfg.batch_limit
             batch_size += -1 if at_limit else 1
     return history

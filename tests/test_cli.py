@@ -174,6 +174,24 @@ class TestExitCodes:
              "--index", os.path.join(synth_root, "index.csv"),
              "--out", str(tmp_path / "d.db")], capsys)
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--epochs", "0"], "epochs"),
+        (["--batch", "0"], "initial_batch"),
+        (["--batch", "3"], "initial_batch"),
+        (["--batch", "8", "--batch-limit", "4"], "batch_limit"),
+    ])
+    def test_unrunnable_schedule_is_2(self, tmp_path, synth_root, capsys,
+                                      flags, field):
+        out = tmp_path / "out"
+        code = run(["train", "--dataset", synth_root, "--out", str(out),
+                    *flags])
+        assert code == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and field in captured.err
+        assert "Traceback" not in captured.err
+        assert "final checkpoint" not in captured.out
+        assert not (out / "metrics.csv").exists()
+
     def test_train_out_is_file_is_2(self, tmp_path, synth_root, capsys):
         out = tmp_path / "taken"
         out.write_text("")

@@ -10,6 +10,7 @@ from sparseloc import (MinkLoc, ModelConfig, PointCloud, SparseTensor, Tape,
                        load_checkpoint, mac_pool, relu, save_checkpoint,
                        sparse_transposed_conv)
 from sparseloc import layers, sparse
+from sparseloc import model as model_module
 from sparseloc.errors import EmptyInput, FormatError
 from sparseloc.gradcheck import max_rel_err, numeric_grad
 from sparseloc.model import (_add_lateral, _compose, _l2_normalize,
@@ -135,6 +136,99 @@ class TestGemPool:
             tracemalloc.stop()
         assert x.fvar.grad.shape == (n, 256)
         assert peak - start < 1.5 * n * 256 * 8
+
+    def test_untaped_holds_no_full_size_buffer(self):
+        n = 8192
+        x = column_tensor(np.random.default_rng(7).uniform(-0.5, 2.0,
+                                                           size=(n, 256)))
+        p = Var(np.asarray(3.17))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            gem_pool(x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < n * 256 * 8 / 4
+
+    @pytest.mark.parametrize("p", [3.0, 3.17])
+    def test_taped_and_untaped_agree_bit_for_bit(self, p):
+        rng = np.random.default_rng(8)
+        batch = np.repeat([0, 1], [257, 775])
+        x = column_tensor(rng.uniform(-0.5, 2.0, size=(len(batch), 16)),
+                          batch=batch)
+        taped, _ = gem_pool(x, Var(np.asarray(p)), Tape())
+        untaped, _ = gem_pool(x, Var(np.asarray(p)))
+        assert np.array_equal(taped.value, untaped.value)
+
+
+def gem_reference(feats, batch, p, mix, eps=1e-6):
+    """Per-item GeM over whole items, its input gradient and dy/dp
+    contracted with ``mix``; each column is scaled by its item max so that
+    neither the powers nor their mean leave the float range."""
+    out, gx, gp = [], np.zeros_like(feats), 0.0
+    for b in np.unique(batch):
+        rows = batch == b
+        top = np.maximum(feats[rows], eps).max(axis=0)
+        r = np.maximum(feats[rows], eps) / top
+        mean = (r ** p).mean(axis=0)
+        y = top * mean ** (1.0 / p)
+        out.append(y)
+        gx[rows] = (mix[b] * mean ** (1.0 / p - 1.0) * r ** (p - 1.0)
+                    * (feats[rows] > eps) / len(r))
+        dy_dp = y * ((r ** p * np.log(r)).mean(axis=0) / (p * mean)
+                     - np.log(mean) / p ** 2)
+        gp += float((mix[b] * dy_dp).sum())
+    return np.array(out), gx, gp
+
+
+class TestGemBlocks:
+    """Items that end inside, at and just past a block of rows."""
+
+    @pytest.mark.parametrize("p, scale", [(0.5, 2.0), (3.0, 2.0),
+                                          (3.17, 2.0), (200.0, 10.0)])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_matches_whole_item_reference(self, p, scale, shuffled):
+        # scale 10 at p = 200 takes the max-factored (overflow-safe) path,
+        # where the last column's max^p would underflow; at p = 0.5 the
+        # clamped rows' gradient is large unless it is masked
+        block = model_module._GEM_BLOCK
+        sizes = [1, block - 1, block, block + 1, 3 * block + 7]
+        rng = np.random.default_rng(9)
+        batch = np.repeat(np.arange(len(sizes)), sizes)
+        feats = rng.uniform(-0.2, scale, size=(len(batch), 3)) * [1, 1, 1e-3]
+        mix = rng.normal(size=(len(sizes), 3))
+        perm = rng.permutation(len(batch)) if shuffled else np.arange(len(batch))
+        x = column_tensor(feats[perm], batch=batch[perm])
+        p_var = Var(np.asarray(p))
+        tape = Tape()
+        out, ids = gem_pool(x, p_var, tape)
+        tape.backward(out, mix)
+        gx = np.empty_like(feats)
+        gx[perm] = x.fvar.grad
+        ref_out, ref_gx, ref_gp = gem_reference(feats, batch, p, mix)
+        assert ids == list(range(len(sizes)))
+        for got, ref in ((out.value, ref_out), (gx, ref_gx),
+                         (float(p_var.grad), ref_gp)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_gradients_across_small_blocks(self, monkeypatch):
+        # blocks of 5 rows split both items of an interleaved map
+        monkeypatch.setattr(model_module, "_GEM_BLOCK", 5)
+        rng = np.random.default_rng(10)
+        x = column_tensor(rng.uniform(-0.2, 2.0, size=(23, 4)),
+                          batch=rng.permutation(np.repeat([0, 1], [11, 12])))
+        p = Var(np.asarray(3.17))
+        mix = rng.normal(size=(2, 4))
+        tape = Tape()
+        out, _ = gem_pool(x, p, tape)
+        tape.backward(out, mix)
+
+        def loss():
+            return float((gem_pool(x, p)[0].value * mix).sum())
+
+        for var in (p, x.fvar):
+            assert max_rel_err(var.grad, numeric_grad(loss, var, h=1e-4)) < 1e-4
 
 
 class TestMacPool:
