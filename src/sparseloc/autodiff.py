@@ -2,13 +2,18 @@
 
 Layers record backward closures on a :class:`Tape` during the forward pass.
 ``Tape.backward`` seeds the output gradient and replays the closures in
-reverse order, accumulating into each :class:`Var`'s ``grad`` slot, and drops
-each closure once it has run.  Running a forward pass with ``tape=None``
-records nothing (eval / frozen mode).
+reverse order, accumulating into each :class:`Var`'s :class:`Grad`, and
+drops each closure once it has run.  Running a forward pass with
+``tape=None`` records nothing (eval / frozen mode).
 
-A backward closure hands :meth:`Var.add_grad` either an array it allocated
-itself and no longer uses, which the Var may adopt, or a view; it never
-hands over a buffer that another Var or the caller still holds.
+A backward closure captures the :class:`Grad` of every Var it reads a
+gradient from or hands one to, and the arrays its backward reads; never an
+activation Var.  So a closure keeps exactly those arrays alive, and every
+other activation is freed with the forward's last reference to it.
+
+A closure hands :meth:`Grad.add` either an array it allocated itself and
+no longer uses, which the accumulator may adopt, or a view; it never hands
+over a buffer that another accumulator or the caller still holds.
 """
 
 from __future__ import annotations
@@ -18,41 +23,73 @@ import numpy as np
 from .errors import TapeConsumed
 
 
-class Var:
-    """An ndarray value with a gradient accumulator."""
+class Grad:
+    """Gradient accumulator of one Var: the Var's shape and the sum so far."""
 
-    __slots__ = ("value", "grad")
+    __slots__ = ("shape", "grad")
 
-    def __init__(self, value):
-        self.value = np.asarray(value, dtype=np.float64)
+    def __init__(self, shape: tuple):
+        self.shape = shape
         self.grad = None
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def add_grad(self, g):
+    def add(self, g):
         """Accumulate ``g`` into ``grad``.
 
-        A first gradient that is a writeable float64 array of this Var's
-        shape owning its memory is adopted as ``grad`` without a copy: the
+        A first gradient that is a writeable float64 array of this shape
+        owning its memory is adopted as ``grad`` without a copy: the
         backward op that allocated it gives it up.  A view, a broadcast, a
         scalar or another dtype is copied.
         """
         if self.grad is not None:
             self.grad += g
         elif (isinstance(g, np.ndarray) and g.base is None
-              and g.dtype == np.float64 and g.shape == self.value.shape
+              and g.dtype == np.float64 and g.shape == self.shape
               and g.flags.writeable):
             self.grad = g
         else:
-            self.grad = np.array(np.broadcast_to(g, self.value.shape), dtype=np.float64)
+            self.grad = np.array(np.broadcast_to(g, self.shape), dtype=np.float64)
+
+
+class Var:
+    """An ndarray value that owns a :class:`Grad` of its shape."""
+
+    __slots__ = ("_value", "acc")
+
+    def __init__(self, value):
+        self.acc = Grad(())
+        self.value = np.asarray(value, dtype=np.float64)
+
+    @property
+    def value(self):
+        return self._value
+
+    @value.setter
+    def value(self, value):
+        # a reassigned value keeps the accumulator at its current shape
+        self._value = value
+        self.acc.shape = np.shape(value)
+
+    @property
+    def grad(self):
+        return self.acc.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.acc.grad = g
+
+    @property
+    def shape(self):
+        return self._value.shape
+
+    def add_grad(self, g):
+        """Accumulate ``g`` into ``grad``, as :meth:`Grad.add` does."""
+        self.acc.add(g)
 
     def zero_grad(self):
-        self.grad = None
+        self.acc.grad = None
 
     def __repr__(self):
-        return f"Var(shape={self.value.shape})"
+        return f"Var(shape={self._value.shape})"
 
 
 class Tape:

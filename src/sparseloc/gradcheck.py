@@ -197,9 +197,11 @@ def _dot(var: Var, weights: np.ndarray, tape: Tape | None) -> Var:
     """Scalar projection of an output Var; recorded so backward seeds flow."""
     out = Var(np.asarray((var.value * weights).sum()))
     if tape is not None:
+        gout, gvar = out.acc, var.acc
+
         def backward():
-            if out.grad is not None:
-                var.add_grad(float(out.grad) * weights)
+            if gout.grad is not None:
+                gvar.add(float(gout.grad) * weights)
         tape.record(backward)
     return out
 

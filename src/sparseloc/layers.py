@@ -55,10 +55,10 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
             out[ro] += f[ri] @ w[k]
     yvar = Var(out)
     if tape is not None:
-        xvar = x.fvar
+        gy, gwt, gxv = yvar.acc, weight.acc, x.fvar.acc
 
         def backward():
-            g = yvar.grad
+            g = gy.grad
             if g is None:
                 return
             gw = np.zeros_like(w)
@@ -70,8 +70,8 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
             for k, ri, ro in segments:
                 gx[ri] += g[ro] @ w[k].T
                 gw[k] += f[ri].T @ g[ro]
-            weight.add_grad(gw)
-            xvar.add_grad(gx)
+            gwt.add(gw)
+            gxv.add(gx)
 
         tape.record(backward)
     return x.with_features(yvar, stride)
@@ -106,16 +106,16 @@ def sparse_transposed_conv(x: SparseTensor, weight: Var, kernel_size: int = 2,
     wbig = w.transpose(1, 0, 2).reshape(c_in, n_off * c_out)
     yvar = Var((f @ wbig).reshape(-1, c_out))
     if tape is not None:
-        xvar = x.fvar
+        gy, gwt, gxv = yvar.acc, weight.acc, x.fvar.acc
 
         def backward():
-            g = yvar.grad
+            g = gy.grad
             if g is None:
                 return
             g = g.reshape(len(f), n_off * c_out)
-            xvar.add_grad(g @ wbig.T)
+            gxv.add(g @ wbig.T)
             gw = (f.T @ g).reshape(c_in, n_off, c_out)
-            weight.add_grad(gw.transpose(1, 0, 2))
+            gwt.add(gw.transpose(1, 0, 2))
 
         tape.record(backward)
     return SparseTensor.from_keys(out_keys, yvar, out_stride)
@@ -156,24 +156,25 @@ class BatchNorm:
         out += self.beta.value - mu * scale
         yvar = Var(out)
         if tape is not None:
-            gamma, beta, xvar = self.gamma, self.beta, x.fvar
+            gy, gxv = yvar.acc, x.fvar.acc
+            gamma, beta = self.gamma.acc, self.beta.acc
 
             def backward():
-                g = yvar.grad
+                g = gy.grad
                 if g is None:
                     return
                 # sum(g * xhat) with xhat = (f - mu) * inv, from f itself
                 g_sum = g.sum(axis=0)
                 g_xhat = inv * (np.einsum("ij,ij->j", g, f) - mu * g_sum)
-                gamma.add_grad(g_xhat)
-                beta.add_grad(g_sum)
+                gamma.add(g_xhat)
+                beta.add(g_sum)
                 gx = g * scale
                 if train:
                     # scale * (g - mean(g) - xhat * mean(g * xhat))
                     c = scale * inv * g_xhat / n
                     gx -= f * c
                     gx += c * mu - scale * g_sum / n
-                xvar.add_grad(gx)
+                gxv.add(gx)
 
             tape.record(backward)
         return x.with_features(yvar)
@@ -185,13 +186,13 @@ def relu(x: SparseTensor, tape: Tape | None = None) -> SparseTensor:
     yvar = Var(out)
     if tape is not None:
         mask = f > 0  # subgradient at exactly 0 is 0
-        xvar = x.fvar
+        gy, gxv = yvar.acc, x.fvar.acc
 
         def backward():
-            g = yvar.grad
+            g = gy.grad
             if g is None:
                 return
-            xvar.add_grad(g * mask)
+            gxv.add(g * mask)
 
         tape.record(backward)
     return x.with_features(yvar)
@@ -213,16 +214,16 @@ def sparse_add(a: SparseTensor, b: SparseTensor,
                          f"and {b.n} voxels on different coordinates")
     yvar = Var(a.features + b.features)
     if tape is not None:
-        avar, bvar = a.fvar, b.fvar
+        gy, ga, gb = yvar.acc, a.fvar.acc, b.fvar.acc
 
         def backward_same():
-            g = yvar.grad
+            g = gy.grad
             if g is None:
                 return
-            # yvar keeps g, so hand each input a view: add_grad copies
+            # gy keeps g, so hand each input a view: Grad.add copies
             # a view rather than adopt it
-            avar.add_grad(g[:])
-            bvar.add_grad(g[:])
+            ga.add(g[:])
+            gb.add(g[:])
 
         tape.record(backward_same)
     return a.with_features(yvar)

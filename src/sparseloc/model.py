@@ -86,10 +86,12 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
     as ``ones @ block``.  Every p, integer or not, with or without a tape,
     takes this one path.  Without a tape the blocks go through one
     block-sized scratch buffer, so nothing of the map's size is allocated.
-    With a tape they go into the rows of ``powers``, which the backward
-    turns into the input gradient in place, and the forward also sums
-    r^p p log r for dy/dp.  Where the direct power could overflow, values
-    are max * (mean (c/max)^p)^(1/p), so the ratios stay in (0, 1].
+    With a tape they go into the rows of ``powers``, and the forward also
+    sums r^p p log r for dy/dp, then turns each block into r^p / c [c > eps]
+    while it is still in cache.  The backward only scales each item's rows
+    of that buffer into the input gradient, so it never reads the map.
+    Where the direct power could overflow, values are
+    max * (mean (c/max)^p)^(1/p), so the ratios stay in (0, 1].
     """
     f = fmap.features
     if len(f) == 0:
@@ -129,14 +131,18 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
             if powers is not None:
                 lg *= pb
                 plogs[b] += ones[:j - i] @ lg
+                # the block's share of dy/dc, up to the per-item factor
+                np.maximum(rows(i, j), eps, out=lg)
+                pb /= lg
+                pb *= lg > eps
     means /= sizes
     out = maxes * means ** (1.0 / p)
     yvar = Var(out)
     if tape is not None:
-        fvar = fmap.fvar
+        gy, gf, gp = yvar.acc, fmap.fvar.acc, p_var.acc
 
         def backward():
-            g = yvar.grad
+            g = gy.grad
             if g is None:
                 return
             # dy/dp = y / p^2 (mean(r^p p log r) / mean(r^p) - log mean(r^p))
@@ -145,16 +151,11 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
             # the max factor cancels in g, so it is treated as a constant
             coef = g * means ** (1.0 / p - 1.0) * maxes / sizes
             for b, (s, e) in enumerate(bounds):
-                for i, j in blocks(s, e):
-                    cb = np.maximum(rows(i, j), eps, out=scratch[:j - i])
-                    pb = powers[i:j]
-                    pb /= cb
-                    pb *= coef[b]
-                    pb *= cb > eps
+                powers[s:e] *= coef[b]
             if order is not None:
                 powers[order] = powers.copy()
-            fvar.add_grad(powers)
-            p_var.add_grad(np.asarray(float((g * dy_dp).sum())))
+            gf.add(powers)
+            gp.add(np.asarray(float((g * dy_dp).sum())))
 
         tape.record(backward)
     return yvar, ids
@@ -171,17 +172,17 @@ def mac_pool(fmap: SparseTensor, tape: Tape | None = None):
     out = np.stack([f[am, np.arange(f.shape[1])] for am in argmax])
     yvar = Var(out)
     if tape is not None:
-        fvar = fmap.fvar
+        gy, gfv, shape = yvar.acc, fmap.fvar.acc, f.shape
 
         def backward():
-            g = yvar.grad
+            g = gy.grad
             if g is None:
                 return
-            gf = np.zeros_like(f)
-            cols = np.arange(f.shape[1])
+            gf = np.zeros(shape)
+            cols = np.arange(shape[1])
             for b, am in enumerate(argmax):
                 np.add.at(gf, (am, cols), g[b])
-            fvar.add_grad(gf)
+            gfv.add(gf)
 
         tape.record(backward)
     return yvar, ids
@@ -215,13 +216,14 @@ def _compose(lateral: Var, tconv: Var, tape: Tape | None) -> Var:
     wt = tconv.value                          # (n_off, d, d)
     fused = Var(wl @ wt)                      # (n_off, c_in, d)
     if tape is not None:
+        gfused, glat, gtconv = fused.acc, lateral.acc, tconv.acc
 
         def backward():
-            g = fused.grad
+            g = gfused.grad
             if g is None:
                 return
-            lateral.add_grad(np.tensordot(g, wt, axes=([0, 2], [0, 2]))[None])
-            tconv.add_grad(wl.T @ g)
+            glat.add(np.tensordot(g, wt, axes=([0, 2], [0, 2]))[None])
+            gtconv.add(wl.T @ g)
 
         tape.record(backward)
     return fused
@@ -234,14 +236,18 @@ def _add_lateral(top: SparseTensor, lateral: SparseTensor, down: KernelMap,
     rows = np.empty(lateral.n, dtype=np.int64)
     k = np.repeat(np.arange(len(down.offsets)), np.diff(down.bounds))
     rows[down.rows_in] = down.rows_out * len(down.offsets) + k
-    top.features[rows] += lateral.features
+    ft, fl = top.features, lateral.features
+    # in slices, so the fancy-index add's temporaries stay small; the rows
+    # are distinct, so each slice adds exactly what one whole add would
+    for i in range(0, len(rows), 256):
+        ft[rows[i:i + 256]] += fl[i:i + 256]
     if tape is not None:
         # top keeps its Var, so the transposed conv receives the gradient as is
-        out, lvar = top.fvar, lateral.fvar
+        gtop, glat = top.fvar.acc, lateral.fvar.acc
 
         def backward():
-            if out.grad is not None:
-                lvar.add_grad(out.grad[rows])
+            if gtop.grad is not None:
+                glat.add(gtop.grad[rows])
 
         tape.record(backward)
     return top
@@ -378,13 +384,13 @@ def _l2_normalize(emb: Var, tape: Tape | None):
     norms = np.maximum(norms, 1e-12)
     yvar = Var(emb.value / norms)
     if tape is not None:
-        y = yvar.value
+        y, gy, gemb = yvar.value, yvar.acc, emb.acc
 
         def backward():
-            g = yvar.grad
+            g = gy.grad
             if g is None:
                 return
-            emb.add_grad((g - y * (g * y).sum(axis=1, keepdims=True)) / norms)
+            gemb.add((g - y * (g * y).sum(axis=1, keepdims=True)) / norms)
 
         tape.record(backward)
     return yvar

@@ -120,9 +120,10 @@ def mined_triplet_loss(tape: Tape | None, emb_var: Var, triplets, margin: float)
     loss = Var(np.asarray(hinge[act].sum() / active))
     if tape is not None:
         a, p, n, dap, dan = a[act], p[act], n[act], dap[act], dan[act]
+        gloss, gemb = loss.acc, emb_var.acc
 
         def backward():
-            g = loss.grad
+            g = gloss.grad
             if g is None:
                 return
             gi = float(g) / active
@@ -132,7 +133,7 @@ def mined_triplet_loss(tape: Tape | None, emb_var: Var, triplets, margin: float)
             np.add.at(ge, a, gi * (uap - uan))
             np.add.at(ge, p, -gi * uap)
             np.add.at(ge, n, gi * uan)
-            emb_var.add_grad(ge)
+            gemb.add(ge)
 
         tape.record(backward)
     return loss, active

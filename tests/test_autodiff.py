@@ -6,8 +6,10 @@ import weakref
 import numpy as np
 import pytest
 
-from sparseloc import PointCloud, Tape, Var, batch_tensor
+from sparseloc import (BatchNorm, PointCloud, SparseConv, SparseTensor, Tape,
+                       Var, batch_tensor)
 from sparseloc import model as model_mod
+from sparseloc.autodiff import Grad
 from sparseloc.train import mined_triplet_loss
 
 
@@ -49,6 +51,31 @@ class TestAddGrad:
         v.add_grad(np.array([3.0, 4.0]))
         assert v.grad is first and v.grad.tolist() == [4.0, 6.0]
 
+    def test_reassigned_value_reshapes_the_accumulator(self):
+        v = Var(np.zeros((3, 2)))
+        acc = v.acc
+        v.value = np.zeros(6)
+        g = np.ones(6)
+        acc.add(g)
+        assert v.grad is g
+        w = Var(np.zeros(3))
+        w.value = np.zeros((2, 2))
+        w.add_grad(2.0)
+        assert w.grad.shape == (2, 2) and np.array_equal(w.grad, np.full((2, 2), 2.0))
+        # SparseTensor reshapes 1-D features to one channel
+        st = SparseTensor(np.zeros((1, 4), dtype=int), np.zeros(1))
+        g = np.ones((1, 1))
+        st.fvar.add_grad(g)
+        assert st.fvar.grad is g
+
+    def test_grad_assignment_and_zero_grad(self):
+        v = Var(np.zeros(2))
+        g = np.ones(2)
+        v.grad = g
+        assert v.acc.grad is g and v.grad is g
+        v.zero_grad()
+        assert v.grad is None and v.acc.grad is None
+
 
 def _step_tensor(rng):
     clouds = [PointCloud(rng.uniform(-0.9, 0.9, size=(60, 3))) for _ in range(4)]
@@ -63,21 +90,23 @@ class TestTrainingStepOwnership:
         loss, active = mined_triplet_loss(tape, emb, [(0, 1, 2), (1, 0, 3)],
                                           margin=100.0)
         assert active == 2
-        # hold every Var of the forward so none is freed by the backward
+        # hold every accumulator of the step, and every Var that outlives
+        # the forward, so none is freed by the backward
         gc.collect()
+        accs = [o for o in gc.get_objects() if isinstance(o, Grad)]
         live = [o for o in gc.get_objects() if isinstance(o, Var)]
         seed = np.ones(())
         tape.backward(loss, seed)
-        held = [v for v in live if v.grad is not None]
+        held = [a for a in accs if a.grad is not None]
         assert len(held) > len(tiny_model.named_params())
-        for i, v in enumerate(held):
-            for w in held[i + 1:]:
-                assert not np.shares_memory(v.grad, w.grad)
-            for w in live:
-                assert w is v or not np.shares_memory(v.grad, w.value)
-        kept = [v.grad.copy() for v in held]
+        for i, a in enumerate(held):
+            for b in held[i + 1:]:
+                assert not np.shares_memory(a.grad, b.grad)
+            for v in live:
+                assert not np.shares_memory(a.grad, v.value)
+        kept = [a.grad.copy() for a in held]
         seed[...] = 7.0
-        assert all(np.array_equal(v.grad, k) for v, k in zip(held, kept))
+        assert all(np.array_equal(a.grad, k) for a, k in zip(held, kept))
 
     def test_backward_frees_activations_while_the_tape_lives(
             self, tiny_model, rng, monkeypatch):
@@ -93,7 +122,51 @@ class TestTrainingStepOwnership:
         tape = Tape()
         emb, _ = tiny_model.embed_tensor(_step_tensor(rng), tape, train=True)
         loss, _ = mined_triplet_loss(tape, emb, [(0, 1, 2)], margin=100.0)
-        assert refs[0]() is not None
-        tape.backward(loss)
+        # no backward reads the upsampled map: GeM keeps its own buffer
         assert refs[0]() is None
+        tape.backward(loss)
         assert all(v.grad is not None for v in tiny_model.named_params().values())
+
+    def test_forward_frees_what_no_backward_reads(
+            self, tiny_model, rng, monkeypatch):
+        bb = tiny_model.backbone
+        res2_bns = [blk.res2_bn for blk in (bb.block1, bb.block2, bb.block3)]
+        bn_outs, res2_bn_outs, res2_relu_outs = [], [], []
+        lateral_outs, res1_ins = [], []
+        bn_call, conv_call, relu = BatchNorm.__call__, SparseConv.__call__, model_mod.relu
+
+        def watched_bn(self, x, tape=None, train=False):
+            out = bn_call(self, x, tape, train)
+            bn_outs.append(weakref.ref(out.features))
+            if any(self is bn for bn in res2_bns):
+                res2_bn_outs.append(bn_outs[-1])
+            return out
+
+        def watched_conv(self, x, tape=None):
+            if self is bb.block1.res1:
+                res1_ins.append(weakref.ref(x.features))
+            out = conv_call(self, x, tape)
+            if self is bb.lateral2:
+                lateral_outs.append(weakref.ref(out.features))
+            return out
+
+        def watched_relu(x, tape=None):
+            out = relu(x, tape)
+            if any(r() is x.features for r in res2_bn_outs):
+                res2_relu_outs.append(weakref.ref(out.features))
+            return out
+
+        monkeypatch.setattr(BatchNorm, "__call__", watched_bn)
+        monkeypatch.setattr(SparseConv, "__call__", watched_conv)
+        monkeypatch.setattr(model_mod, "relu", watched_relu)
+        tape = Tape()
+        emb, _ = tiny_model.embed_tensor(_step_tensor(rng), tape, train=True)
+        loss, _ = mined_triplet_loss(tape, emb, [(0, 1, 2)], margin=100.0)
+        assert (len(bn_outs), len(res2_relu_outs)) == (10, 3)
+        assert (len(lateral_outs), len(res1_ins)) == (1, 1)
+        dead = bn_outs + res2_relu_outs + lateral_outs
+        assert all(r() is None for r in dead)
+        # res1's backward reads its input, so its closure keeps it
+        assert res1_ins[0]() is not None
+        tape.backward(loss)
+        assert res1_ins[0]() is None

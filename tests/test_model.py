@@ -1,6 +1,7 @@
 """Pooling heads, descriptor invariances, backbone shape, checkpoints."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -231,6 +232,113 @@ class TestGemBlocks:
             assert max_rel_err(var.grad, numeric_grad(loss, var, h=1e-4)) < 1e-4
 
 
+def gem_parent(fmap, p, g, eps=1e-6):
+    """The taped GeM as it was before its forward prepared the input
+    gradient: the backward clamps each block again, divides, scales and
+    masks.  Returns (y, input gradient, dy/dp contracted with ``g``)."""
+    f = fmap.features
+    order, _, bounds = model_module._batch_slices(fmap.coords)
+    sizes = np.array([e - s for s, e in bounds], dtype=float)[:, None]
+    step = model_module._GEM_BLOCK
+
+    def rows(i, j):
+        return f[i:j] if order is None else f[order[i:j]]
+
+    def blocks(s, e):
+        return [(i, min(i + step, e)) for i in range(s, e, step)]
+
+    direct = p * np.log(max(float(f.max()), 1.0)) < 300.0
+    scratch = np.empty((min(step, len(f)), f.shape[1]))
+    ones = np.ones(len(scratch))
+    powers = np.empty_like(f)
+    maxes = np.ones((len(bounds), f.shape[1]))
+    means, plogs = np.zeros_like(maxes), np.zeros_like(maxes)
+    for b, (s, e) in enumerate(bounds):
+        if not direct:
+            maxes[b] = np.maximum(rows(s, e).max(axis=0), eps)
+        for i, j in blocks(s, e):
+            lg, pb = scratch[:j - i], powers[i:j]
+            np.maximum(rows(i, j), eps, out=pb)
+            if not direct:
+                pb /= maxes[b]
+            np.log(pb, out=lg)
+            lg *= p
+            np.exp(lg, out=pb)
+            means[b] += ones[:j - i] @ pb
+            lg *= pb
+            plogs[b] += ones[:j - i] @ lg
+    means /= sizes
+    y = maxes * means ** (1.0 / p)
+    dy_dp = y / p ** 2 * (plogs / (sizes * means) - np.log(means))
+    coef = g * means ** (1.0 / p - 1.0) * maxes / sizes
+    for b, (s, e) in enumerate(bounds):
+        for i, j in blocks(s, e):
+            cb = np.maximum(rows(i, j), eps, out=scratch[:j - i])
+            pb = powers[i:j]
+            pb /= cb
+            pb *= coef[b]
+            pb *= cb > eps
+    if order is not None:
+        powers[order] = powers.copy()
+    return y, powers, float((g * dy_dp).sum())
+
+
+def mac_parent(fmap, g):
+    """MAC and its input gradient, from the map itself."""
+    f = fmap.features
+    order, _, bounds = model_module._batch_slices(fmap.coords)
+    rows = np.arange(len(f)) if order is None else order
+    cols = np.arange(f.shape[1])
+    argmax = [rows[s:e][np.argmax(f[rows[s:e]], axis=0)] for s, e in bounds]
+    gf = np.zeros_like(f)
+    for b, am in enumerate(argmax):
+        np.add.at(gf, (am, cols), g[b])
+    return np.stack([f[am, cols] for am in argmax]), gf
+
+
+class TestPoolSameNumbers:
+    """Pooling values and gradients equal the backward that re-reads the map."""
+
+    @staticmethod
+    def pooled_map(shuffled, scale):
+        block = model_module._GEM_BLOCK
+        sizes = [1, block - 1, block, block + 1, 3 * block + 7]
+        rng = np.random.default_rng(11)
+        batch = np.repeat(np.arange(len(sizes)), sizes)
+        feats = rng.uniform(-0.2, scale, size=(len(batch), 4)) * [1, 1, 1, 1e-3]
+        perm = rng.permutation(len(batch)) if shuffled else np.arange(len(batch))
+        return (column_tensor(feats[perm], batch=batch[perm]),
+                rng.normal(size=(len(sizes), 4)))
+
+    @pytest.mark.parametrize("p, scale", [(3.0, 2.0), (3.17, 2.0),
+                                          (200.0, 10.0)])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_gem_matches_parent_bit_for_bit(self, p, scale, shuffled):
+        x, g = self.pooled_map(shuffled, scale)
+        ref_y, ref_gx, ref_gp = gem_parent(x, p, g)
+        p_var = Var(np.asarray(p))
+        tape = Tape()
+        out, _ = gem_pool(x, p_var, tape)
+        tape.backward(out, g)
+        assert np.array_equal(out.value, ref_y)
+        assert np.array_equal(x.fvar.grad, ref_gx)
+        assert float(p_var.grad) == ref_gp
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_mac_matches_parent_bit_for_bit(self, shuffled):
+        x, g = self.pooled_map(shuffled, 2.0)
+        ref_y, ref_gx = mac_parent(x, g)
+        tape = Tape()
+        out, _ = mac_pool(x, tape)
+        # the backward needs only the map's shape, not the map
+        acc, feats = x.fvar.acc, weakref.ref(x.features)
+        del x
+        assert feats() is None
+        tape.backward(out, g)
+        assert np.array_equal(out.value, ref_y)
+        assert np.array_equal(acc.grad, ref_gx)
+
+
 class TestMacPool:
     def test_per_channel_max(self):
         out, _ = mac_pool(column_tensor(np.array([[1.0, 5.0], [3.0, 2.0]])))
@@ -345,12 +453,20 @@ class TestBackbone:
         assert np.array_equal(lateral.fvar.grad, g[[14, 2, 0]])
 
     def test_lateral_rows_match_coordinate_lookup(self, tiny_model):
+        self.check_lateral_rows(tiny_model, 120, tiny_model.cfg.quantization_step)
+
+    def test_lateral_rows_over_many_slices(self, tiny_model):
+        # a finer grid gives x2 more rows than several slices of the add
+        assert self.check_lateral_rows(tiny_model, 2000, 0.01) > 3 * 256
+
+    @staticmethod
+    def check_lateral_rows(tiny_model, points, step):
         # on a real multi-cloud forward, block3.down's map of x2 sends each
         # stride-4 voxel to the upsampled row holding its coordinates
         rng = np.random.default_rng(4)
-        clouds = [PointCloud(rng.uniform(-0.9, 0.9, size=(120, 3)))
+        clouds = [PointCloud(rng.uniform(-0.9, 0.9, size=(points, 3)))
                   for _ in range(3)]
-        st = batch_tensor(clouds, tiny_model.cfg.quantization_step)
+        st = batch_tensor(clouds, step)
         bb = tiny_model.backbone
         x2 = bb.block2(bb.block1(relu(bb.conv0_bn(bb.conv0(st)))))
         x3 = bb.block3(x2)
@@ -362,6 +478,7 @@ class TestBackbone:
         assert rows.min() >= 0
         assert np.array_equal(out.features[rows], ids.features)
         assert np.count_nonzero(out.features) == x2.n
+        return x2.n
 
     def test_one_map_lookup_per_conv(self, tiny_model, monkeypatch):
         # the lateral add reads block3.down's cached map: every map lookup
