@@ -1,19 +1,22 @@
 """Minimal reverse-mode tape for the array ops the network needs.
 
-Layers record backward closures on a :class:`Tape` during the forward pass.
-``Tape.backward`` seeds the output gradient and replays the closures in
-reverse order, accumulating into each :class:`Var`'s :class:`Grad`, and
-drops each closure once it has run.  Running a forward pass with
-``tape=None`` records nothing (eval / frozen mode).
+Each op's forward records a closure ``backward(g)`` for its output Var
+with :meth:`Tape.record_for`.  ``Tape.backward`` seeds the output gradient
+and replays the closures in reverse order, accumulating into each
+:class:`Var`'s :class:`Grad`, and drops each closure once it has run.  The
+tape calls a closure with its output's gradient, and skips it when that
+output got none; it never clears the output's gradient.  Running a forward
+pass with ``tape=None`` records nothing (eval / frozen mode).
 
-A backward closure captures the :class:`Grad` of every Var it reads a
-gradient from or hands one to, and the arrays its backward reads; never an
-activation Var.  So a closure keeps exactly those arrays alive, and every
-other activation is freed with the forward's last reference to it.
+A backward closure captures the :class:`Grad` of every Var it hands a
+gradient to, and the arrays its backward reads; never an activation Var.
+So a closure keeps exactly those arrays alive, and every other activation
+is freed with the forward's last reference to it.
 
-A closure hands :meth:`Grad.add` either an array it allocated itself and
-no longer uses, which the accumulator may adopt, or a view; it never hands
-over a buffer that another accumulator or the caller still holds.
+A closure hands :meth:`Grad.add` either an array the accumulator may
+adopt (one it allocated itself and no longer uses, or the buffer of an
+accumulator it has released) or a view; it never hands over a buffer that
+another accumulator or the caller still holds.
 """
 
 from __future__ import annotations
@@ -101,6 +104,20 @@ class Tape:
 
     def record(self, backward_fn):
         self._ops.append(backward_fn)
+
+    def record_for(self, out: Var, backward_fn):
+        """Record ``backward_fn(g)`` to run with ``out``'s gradient ``g``,
+        or not at all when ``out`` got no gradient.  Only ``out``'s
+        :class:`Grad` is kept, so its value is freed with the forward's last
+        reference.  ``g`` stays in place: several closures may read one
+        Var's gradient, as the transposed conv and the lateral add do."""
+        acc = out.acc
+
+        def backward():
+            if acc.grad is not None:
+                backward_fn(acc.grad)
+
+        self.record(backward)
 
     def __len__(self):
         return len(self._ops)

@@ -153,19 +153,16 @@ def cmd_eval(args) -> int:
     _, _, _, ecfg = resolve_configs(args)
     dbs = [ev.load_database(p) for p in args.db]
     queries = [ev.load_database(p) for p in args.query]
-    if len(queries) == 1 and len(dbs) == 1:
-        q_runs, db_runs = queries, dbs
-    else:
-        # --query x --db product; cross_run_pairings pairs within one list
-        q_runs, db_runs = [], []
-        for q in queries:
-            for db in dbs:
-                if set(q.ids.tolist()) == set(db.ids.tolist()):
-                    continue  # same run on both sides
-                q_runs.append(q)
-                db_runs.append(db)
-        if not q_runs:
-            raise DatasetError("no usable query/database pairings")
+    # --query x --db product; cross_run_pairings pairs within one list
+    q_runs, db_runs = [], []
+    for q in queries:
+        for db in dbs:
+            if set(q.ids.tolist()) == set(db.ids.tolist()):
+                continue  # same run on both sides
+            q_runs.append(q)
+            db_runs.append(db)
+    if not q_runs:
+        raise DatasetError("no usable query/database pairings")
     result = ev.average_recall(q_runs, db_runs, ecfg)
     rows = [("AR@1", result["ar_at_1"]), ("AR@1%", result["ar_at_1pct"])]
     max_n = min(len(db) for db in db_runs)

@@ -7,6 +7,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -320,12 +321,10 @@ def save_database(path: str, db: DescriptorDatabase):
         fh.write(_DB_MAGIC)
         fh.write(struct.pack("<II", db.dim, len(db)))
         fh.write(payload.tobytes())
+    rows = zip(db.ids.tolist(), db.northing.tolist(), db.easting.tolist())
     with open(path + ".geo.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "northing", "easting"])
-        for i in range(len(db)):
-            w.writerow([int(db.ids[i]), repr(float(db.northing[i])),
-                        repr(float(db.easting[i]))])
+        fh.write("id,northing,easting\r\n"
+                 + ("%d,%r,%r\r\n" * len(db)) % tuple(chain.from_iterable(rows)))
 
 
 def _load_geo_tags(sidecar: str):

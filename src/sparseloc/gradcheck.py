@@ -197,12 +197,8 @@ def _dot(var: Var, weights: np.ndarray, tape: Tape | None) -> Var:
     """Scalar projection of an output Var; recorded so backward seeds flow."""
     out = Var(np.asarray((var.value * weights).sum()))
     if tape is not None:
-        gout, gvar = out.acc, var.acc
-
-        def backward():
-            if gout.grad is not None:
-                gvar.add(float(gout.grad) * weights)
-        tape.record(backward)
+        gvar = var.acc
+        tape.record_for(out, lambda g: gvar.add(float(g) * weights))
     return out
 
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from .autodiff import Tape, Var
 from .errors import EmptyInput, ShapeError, StrideError
-from .sparse import (SparseTensor, build_kernel_map, conv_map_key,
-                     downsample_coords, kernel_offsets, offset_key_delta)
+from .sparse import (SparseTensor, build_kernel_map, downsample_coords,
+                     kernel_offsets, offset_key_delta)
 
 
 def _check_channels(x: SparseTensor, c_in: int):
@@ -45,8 +45,7 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
     out = np.zeros((len(out_coords), c_out)) if centre is None else f @ w[centre]
     segments = []
     if centre is None or n_off > 1:
-        kmap = build_kernel_map(x, out_coords, kernel_size,
-                                cache_key=conv_map_key(kernel_size, stride))
+        kmap = build_kernel_map(x, out_coords, kernel_size)
         b = kmap.bounds
         segments = [(k, kmap.rows_in[b[k]:b[k + 1]], kmap.rows_out[b[k]:b[k + 1]])
                     for k in range(n_off) if k != centre and b[k] < b[k + 1]]
@@ -55,12 +54,9 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
             out[ro] += f[ri] @ w[k]
     yvar = Var(out)
     if tape is not None:
-        gy, gwt, gxv = yvar.acc, weight.acc, x.fvar.acc
+        gwt, gxv = weight.acc, x.fvar.acc
 
-        def backward():
-            g = gy.grad
-            if g is None:
-                return
+        def backward(g):
             gw = np.zeros_like(w)
             if centre is None:
                 gx = np.zeros_like(f)
@@ -73,7 +69,7 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
             gwt.add(gw)
             gxv.add(gx)
 
-        tape.record(backward)
+        tape.record_for(yvar, backward)
     return x.with_features(yvar, stride)
 
 
@@ -106,18 +102,15 @@ def sparse_transposed_conv(x: SparseTensor, weight: Var, kernel_size: int = 2,
     wbig = w.transpose(1, 0, 2).reshape(c_in, n_off * c_out)
     yvar = Var((f @ wbig).reshape(-1, c_out))
     if tape is not None:
-        gy, gwt, gxv = yvar.acc, weight.acc, x.fvar.acc
+        gwt, gxv = weight.acc, x.fvar.acc
 
-        def backward():
-            g = gy.grad
-            if g is None:
-                return
+        def backward(g):
             g = g.reshape(len(f), n_off * c_out)
             gxv.add(g @ wbig.T)
             gw = (f.T @ g).reshape(c_in, n_off, c_out)
             gwt.add(gw.transpose(1, 0, 2))
 
-        tape.record(backward)
+        tape.record_for(yvar, backward)
     return SparseTensor.from_keys(out_keys, yvar, out_stride)
 
 
@@ -156,13 +149,9 @@ class BatchNorm:
         out += self.beta.value - mu * scale
         yvar = Var(out)
         if tape is not None:
-            gy, gxv = yvar.acc, x.fvar.acc
-            gamma, beta = self.gamma.acc, self.beta.acc
+            gxv, gamma, beta = x.fvar.acc, self.gamma.acc, self.beta.acc
 
-            def backward():
-                g = gy.grad
-                if g is None:
-                    return
+            def backward(g):
                 # sum(g * xhat) with xhat = (f - mu) * inv, from f itself
                 g_sum = g.sum(axis=0)
                 g_xhat = inv * (np.einsum("ij,ij->j", g, f) - mu * g_sum)
@@ -176,7 +165,7 @@ class BatchNorm:
                     gx += c * mu - scale * g_sum / n
                 gxv.add(gx)
 
-            tape.record(backward)
+            tape.record_for(yvar, backward)
         return x.with_features(yvar)
 
 
@@ -186,15 +175,12 @@ def relu(x: SparseTensor, tape: Tape | None = None) -> SparseTensor:
     yvar = Var(out)
     if tape is not None:
         mask = f > 0  # subgradient at exactly 0 is 0
-        gy, gxv = yvar.acc, x.fvar.acc
+        gxv = x.fvar.acc
 
-        def backward():
-            g = gy.grad
-            if g is None:
-                return
+        def backward(g):
             gxv.add(g * mask)
 
-        tape.record(backward)
+        tape.record_for(yvar, backward)
     return x.with_features(yvar)
 
 
@@ -216,16 +202,14 @@ def sparse_add(a: SparseTensor, b: SparseTensor,
     if tape is not None:
         gy, ga, gb = yvar.acc, a.fvar.acc, b.fvar.acc
 
-        def backward_same():
-            g = gy.grad
-            if g is None:
-                return
-            # gy keeps g, so hand each input a view: Grad.add copies
-            # a view rather than adopt it
-            ga.add(g[:])
+        def backward(g):
+            # no closure reads gy after this one: release it so ``a`` may
+            # adopt g, and hand ``b`` a view, which Grad.add copies
+            gy.grad = None
+            ga.add(g)
             gb.add(g[:])
 
-        tape.record(backward_same)
+        tape.record_for(yvar, backward)
     return a.with_features(yvar)
 
 

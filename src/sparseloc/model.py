@@ -139,12 +139,9 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
     out = maxes * means ** (1.0 / p)
     yvar = Var(out)
     if tape is not None:
-        gy, gf, gp = yvar.acc, fmap.fvar.acc, p_var.acc
+        gf, gp = fmap.fvar.acc, p_var.acc
 
-        def backward():
-            g = gy.grad
-            if g is None:
-                return
+        def backward(g):
             # dy/dp = y / p^2 (mean(r^p p log r) / mean(r^p) - log mean(r^p))
             dy_dp = out / p ** 2 * (plogs / (sizes * means) - np.log(means))
             # d g_k / d c_jk = (1/n) mean^(1/p - 1) (c/max)^p max / c:
@@ -157,7 +154,7 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
             gf.add(powers)
             gp.add(np.asarray(float((g * dy_dp).sum())))
 
-        tape.record(backward)
+        tape.record_for(yvar, backward)
     return yvar, ids
 
 
@@ -172,19 +169,16 @@ def mac_pool(fmap: SparseTensor, tape: Tape | None = None):
     out = np.stack([f[am, np.arange(f.shape[1])] for am in argmax])
     yvar = Var(out)
     if tape is not None:
-        gy, gfv, shape = yvar.acc, fmap.fvar.acc, f.shape
+        gfv, shape = fmap.fvar.acc, f.shape
 
-        def backward():
-            g = gy.grad
-            if g is None:
-                return
+        def backward(g):
             gf = np.zeros(shape)
             cols = np.arange(shape[1])
             for b, am in enumerate(argmax):
                 np.add.at(gf, (am, cols), g[b])
             gfv.add(gf)
 
-        tape.record(backward)
+        tape.record_for(yvar, backward)
     return yvar, ids
 
 
@@ -216,16 +210,13 @@ def _compose(lateral: Var, tconv: Var, tape: Tape | None) -> Var:
     wt = tconv.value                          # (n_off, d, d)
     fused = Var(wl @ wt)                      # (n_off, c_in, d)
     if tape is not None:
-        gfused, glat, gtconv = fused.acc, lateral.acc, tconv.acc
+        glat, gtconv = lateral.acc, tconv.acc
 
-        def backward():
-            g = gfused.grad
-            if g is None:
-                return
+        def backward(g):
             glat.add(np.tensordot(g, wt, axes=([0, 2], [0, 2]))[None])
             gtconv.add(wl.T @ g)
 
-        tape.record(backward)
+        tape.record_for(fused, backward)
     return fused
 
 
@@ -243,13 +234,12 @@ def _add_lateral(top: SparseTensor, lateral: SparseTensor, down: KernelMap,
         ft[rows[i:i + 256]] += fl[i:i + 256]
     if tape is not None:
         # top keeps its Var, so the transposed conv receives the gradient as is
-        gtop, glat = top.fvar.acc, lateral.fvar.acc
+        glat = lateral.fvar.acc
 
-        def backward():
-            if gtop.grad is not None:
-                glat.add(gtop.grad[rows])
+        def backward(g):
+            glat.add(g[rows])
 
-        tape.record(backward)
+        tape.record_for(top.fvar, backward)
     return top
 
 
@@ -384,15 +374,12 @@ def _l2_normalize(emb: Var, tape: Tape | None):
     norms = np.maximum(norms, 1e-12)
     yvar = Var(emb.value / norms)
     if tape is not None:
-        y, gy, gemb = yvar.value, yvar.acc, emb.acc
+        y, gemb = yvar.value, emb.acc
 
-        def backward():
-            g = gy.grad
-            if g is None:
-                return
+        def backward(g):
             gemb.add((g - y * (g * y).sum(axis=1, keepdims=True)) / norms)
 
-        tape.record(backward)
+        tape.record_for(yvar, backward)
     return yvar
 
 

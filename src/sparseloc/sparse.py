@@ -82,12 +82,13 @@ def offset_key_delta(offset, step: int) -> int:
 
 class _Geometry:
     """One voxel set: coordinates, stride, packed keys and the caches built
-    on them (sorted index, kernel maps, downsamples).  Tensors on the same
-    voxels share one instance, so each map is built once.  Keys that come in
-    strictly increasing order are their own sorted index.
+    on them: the sorted index, ``maps[K]`` (the K kernel map onto these
+    coordinates) and ``parents[factor]`` (the downsample by ``factor``).
+    Tensors on the same voxels share one instance, so each is built once.
+    Keys that come in strictly increasing order are their own sorted index.
     """
 
-    __slots__ = ("coords", "stride", "keys", "sorted", "kmaps")
+    __slots__ = ("coords", "stride", "keys", "sorted", "maps", "parents")
 
     def __init__(self, keys: np.ndarray, stride: int):
         self.coords = unpack_keys(keys)
@@ -95,7 +96,28 @@ class _Geometry:
         self.keys = keys
         in_order = bool(np.all(keys[1:] > keys[:-1]))
         self.sorted = (keys, np.arange(len(keys))) if in_order else None
-        self.kmaps = {}
+        self.maps = {}
+        self.parents = {}
+
+    def parent(self, factor: int):
+        """The downsample by ``factor`` as ``((coords, stride), geometry,
+        kernel map)``, built on first use (see :func:`downsample_coords`)."""
+        if factor not in self.parents:
+            new_stride = self.stride * factor
+            lattice = self.coords[:, 1:] // self.stride
+            cell = lattice // factor
+            keys, parent = np.unique(
+                pack_coords(np.column_stack([self.coords[:, 0], cell * new_stride])),
+                return_inverse=True)
+            digit = lattice - cell * factor
+            offset = (digit[:, 0] * factor + digit[:, 1]) * factor + digit[:, 2]
+            rows_in = np.argsort(offset * len(keys) + parent)
+            bounds = np.searchsorted(offset[rows_in], np.arange(factor ** 3 + 1))
+            kmap = KernelMap(list(itertools.product(range(factor), repeat=3)),
+                             rows_in, parent[rows_in], bounds)
+            geom = _Geometry(keys, new_stride)
+            self.parents[factor] = ((geom.coords, new_stride), geom, kmap)
+        return self.parents[factor]
 
 
 class SparseTensor:
@@ -135,10 +157,8 @@ class SparseTensor:
 
     def with_features(self, features, factor: int = 1) -> SparseTensor:
         """A tensor on this tensor's voxels, or on their downsample by
-        ``factor`` once :func:`downsample_coords` has built it."""
-        geom = self._geom
-        if factor != 1:
-            geom = geom.kmaps[("down", self.stride * factor)][1]
+        ``factor`` (see :func:`downsample_coords`)."""
+        geom = self._geom if factor == 1 else self._geom.parent(factor)[1]
         return SparseTensor.__new__(SparseTensor)._set(geom, features)
 
     @property
@@ -218,21 +238,26 @@ class KernelMap:
 
 
 def build_kernel_map(in_tensor: SparseTensor, out_coords: np.ndarray,
-                     kernel_size: int, cache_key=None) -> KernelMap:
+                     kernel_size: int) -> KernelMap:
     """Join output voxels against the input index for every kernel offset.
 
     A pair (i, o) is emitted under offset d when the input contains
-    ``out_coords[o] + d * in_tensor.stride``.  ``cache_key`` memoizes the map
-    on the input tensor's shared geometry; callers must only pass it when
-    ``out_coords`` is a pure function of that geometry and the key.
+    ``out_coords[o] + d * in_tensor.stride``.  A map onto the input's own
+    coordinate array is cached on its shared geometry.  For the coordinate
+    array of the input's downsample by an even ``factor == kernel_size``,
+    the downsample's map is returned.  Any other call searches and caches
+    nothing.
 
     For the input's own coordinate array and odd K the map is symmetric:
     offset -d holds offset d's pairs swapped, so only half is searched.
     """
-    kmaps = in_tensor._geom.kmaps
-    if cache_key in kmaps:
-        return kmaps[cache_key]
-    own = out_coords is in_tensor.coords
+    geom = in_tensor._geom
+    own = out_coords is geom.coords
+    if own and kernel_size in geom.maps:
+        return geom.maps[kernel_size]
+    down = geom.parents.get(kernel_size)
+    if down is not None and kernel_size % 2 == 0 and out_coords is down[0][0]:
+        return down[2]
     mirror = own and kernel_size % 2 == 1
     out_coords = np.asarray(out_coords, dtype=np.int64).reshape(-1, 4)
     offsets = kernel_offsets(kernel_size)
@@ -276,14 +301,9 @@ def build_kernel_map(in_tensor: SparseTensor, out_coords: np.ndarray,
         ri, ro = np.concatenate([ri, every, ro[flip]]), np.concatenate([ro, every, ri[flip]])
         bounds = np.concatenate([bounds, 2 * bounds[-1] + len(every) - bounds[::-1]])
     kmap = KernelMap(offsets, ri, ro, bounds)
-    if cache_key is not None:
-        kmaps[cache_key] = kmap
+    if own:
+        geom.maps[kernel_size] = kmap
     return kmap
-
-
-def conv_map_key(kernel_size: int, stride: int):
-    """Cache key of a conv's kernel map on its input's geometry."""
-    return ("conv", kernel_size, stride)
 
 
 def downsample_coords(in_tensor: SparseTensor, factor: int = 2):
@@ -292,33 +312,15 @@ def downsample_coords(in_tensor: SparseTensor, factor: int = 2):
     Rows are in packed-key order, straight from the ``np.unique`` over the
     parents' keys: that key array seeds the parents' geometry (see
     :meth:`SparseTensor.with_features`) as its own sorted index, and its
-    inverse is each input row's parent row.  The same pass caches, under
-    ``conv_map_key(factor, factor)``, a K = factor kernel map with no search:
-    each input row under its offset in {0..K-1}^3 from its parent, sorted by
-    (offset, parent); for even K it equals the search's map.
+    inverse is each input row's parent row.  The same pass builds, with no
+    search, a K = factor kernel map (see :func:`downsample_map`): each input
+    row under its offset in {0..K-1}^3 from its parent, sorted by (offset,
+    parent); for even K it equals the search's map.  Both are cached on the
+    input's geometry, and a repeat call returns the same tuple.
     """
-    new_stride = in_tensor.stride * factor
-    kmaps = in_tensor._geom.kmaps
-    if ("down", new_stride) not in kmaps:
-        lattice = in_tensor.coords[:, 1:] // in_tensor.stride
-        cell = lattice // factor
-        keys, parent = np.unique(
-            pack_coords(np.column_stack([in_tensor.coords[:, 0], cell * new_stride])),
-            return_inverse=True)
-        digit = lattice - cell * factor
-        offset = (digit[:, 0] * factor + digit[:, 1]) * factor + digit[:, 2]
-        rows_in = np.argsort(offset * len(keys) + parent)
-        bounds = np.searchsorted(offset[rows_in], np.arange(factor ** 3 + 1))
-        kmaps[conv_map_key(factor, factor)] = KernelMap(
-            list(itertools.product(range(factor), repeat=3)), rows_in,
-            parent[rows_in], bounds)
-        geom = _Geometry(keys, new_stride)
-        kmaps[("down", new_stride)] = ((geom.coords, new_stride), geom)
-    return kmaps[("down", new_stride)][0]
+    return in_tensor._geom.parent(factor)[0]
 
 
 def downsample_map(in_tensor: SparseTensor, factor: int = 2) -> KernelMap:
     """The kernel map of :func:`downsample_coords` for the same arguments."""
-    if conv_map_key(factor, factor) not in in_tensor._geom.kmaps:
-        downsample_coords(in_tensor, factor)
-    return in_tensor._geom.kmaps[conv_map_key(factor, factor)]
+    return in_tensor._geom.parent(factor)[2]

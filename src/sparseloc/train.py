@@ -120,12 +120,9 @@ def mined_triplet_loss(tape: Tape | None, emb_var: Var, triplets, margin: float)
     loss = Var(np.asarray(hinge[act].sum() / active))
     if tape is not None:
         a, p, n, dap, dan = a[act], p[act], n[act], dap[act], dan[act]
-        gloss, gemb = loss.acc, emb_var.acc
+        gemb = emb_var.acc
 
-        def backward():
-            g = gloss.grad
-            if g is None:
-                return
+        def backward(g):
             gi = float(g) / active
             uap = (emb[a] - emb[p]) / np.maximum(dap, 1e-12)[:, None]
             uan = (emb[a] - emb[n]) / np.maximum(dan, 1e-12)[:, None]
@@ -135,7 +132,7 @@ def mined_triplet_loss(tape: Tape | None, emb_var: Var, triplets, margin: float)
             np.add.at(ge, n, gi * uan)
             gemb.add(ge)
 
-        tape.record(backward)
+        tape.record_for(loss, backward)
     return loss, active
 
 
@@ -251,9 +248,7 @@ class Adam:
         lr = self.lr if lr is None else lr
         self.t += 1
         for name, var in self.params.items():
-            g = var.grad
-            if g is None:
-                g = np.zeros_like(var.value)
+            g = np.zeros_like(var.value) if var.grad is None else var.grad
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient for {name}")
             g = g + self.weight_decay * var.value

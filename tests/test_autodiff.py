@@ -77,6 +77,36 @@ class TestAddGrad:
         assert v.grad is None and v.acc.grad is None
 
 
+class TestRecordFor:
+    def test_backward_gets_the_gradient_and_leaves_it(self):
+        out = Var(np.zeros(2))
+        tape, seen = Tape(), []
+        tape.record_for(out, seen.append)
+        tape.backward(out, np.array([1.0, 2.0]))
+        assert len(seen) == 1 and seen[0] is out.grad
+        assert out.grad.tolist() == [1.0, 2.0]
+
+    def test_output_without_gradient_skips_its_backward(self):
+        x, out, loss = Var(np.ones(2)), Var(np.zeros(2)), Var(np.zeros(()))
+        tape, calls = Tape(), []
+
+        def backward(g):
+            calls.append(g)
+            x.add_grad(g)
+
+        tape.record_for(out, backward)
+        tape.backward(loss)
+        assert calls == [] and x.grad is None
+
+    def test_keeps_only_the_output_gradient(self):
+        out = Var(np.zeros(3))
+        ref = weakref.ref(out.value)
+        tape = Tape()
+        tape.record_for(out, lambda g: None)
+        del out
+        assert len(tape) == 1 and ref() is None
+
+
 def _step_tensor(rng):
     clouds = [PointCloud(rng.uniform(-0.9, 0.9, size=(60, 3))) for _ in range(4)]
     return batch_tensor(clouds, 0.1)

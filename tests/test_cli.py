@@ -556,6 +556,20 @@ def test_eval_dimension_mismatch_is_2(tmp_path, capsys):
     assert "dimension 4" in captured.err and "dimension 3" in captured.err
 
 
+def test_eval_run_against_itself_is_2(tmp_path, capsys):
+    path = str(tmp_path / "run0.db")
+    save_database(path, DescriptorDatabase(np.ones((3, 3)), np.zeros(3),
+                                           np.zeros(3), np.arange(3)))
+    code = run(["eval", "--db", path, "--query", path,
+                "--out", str(tmp_path / "r.csv")])
+    assert code == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "no usable query/database pairings" in captured.err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_eval_non_finite_database_is_2(tmp_path, capsys):
     good = str(tmp_path / "run0.db")
     save_database(good, DescriptorDatabase(np.ones((3, 3)), np.zeros(3),

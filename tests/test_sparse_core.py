@@ -175,6 +175,23 @@ class TestKernelMap:
                     assert (in_set[cand], o) in pairs
         assert kmap.pair_count() == expect
 
+    def test_map_onto_own_coords_is_the_one_a_conv_uses(self, monkeypatch):
+        # a map onto the input's own coordinate array is cached on its
+        # geometry; one onto any other array is not, whatever it holds
+        rng = np.random.default_rng(4)
+        x = quantize(PointCloud(rng.uniform(-1, 1, size=(300, 3))), step=0.2)
+        build_kernel_map(x, x.coords[::-1].copy(), 3)
+        kmap = build_kernel_map(x, x.coords, 3)
+        used = []
+
+        def recorded(*args):
+            used.append(build_kernel_map(*args))
+            return used[-1]
+
+        monkeypatch.setattr(layers, "build_kernel_map", recorded)
+        sparse_conv(x, Var(np.ones((27, 1, 1))), kernel_size=3)
+        assert len(used) == 1 and used[0] is kmap
+
 
 def pair_set(kmap):
     k = np.repeat(np.arange(len(kmap.offsets)), np.diff(kmap.bounds))
@@ -284,6 +301,14 @@ class TestDownsample:
         coords, stride = down
         assert stride == 2 and np.array_equal(out.coords, coords)
         assert kmap is kmap_again is downsample_map(x, 2)
+
+    def test_with_features_builds_the_downsample(self):
+        x = make_tensor([[0, 0, 0, 0], [0, 1, 1, 1], [0, 2, 0, 0],
+                         [1, -1, 0, 3]])
+        y = x.with_features(np.zeros((3, 1)), 2)
+        coords, stride = downsample_coords(x, 2)
+        assert y.coords is coords and y.stride == stride == 2
+        assert coords.tolist() == [[0, 0, 0, 0], [0, 2, 0, 0], [1, -2, 0, 2]]
 
     def test_first_conv_after_downsample_reuses_unique_keys(self, monkeypatch):
         # the downsample's np.unique key array is the parents' sorted index,
