@@ -16,7 +16,11 @@ is freed with the forward's last reference to it.
 A closure hands :meth:`Grad.add` either an array the accumulator may
 adopt (one it allocated itself and no longer uses, or the buffer of an
 accumulator it has released) or a view; it never hands over a buffer that
-another accumulator or the caller still holds.
+another accumulator or the caller still holds.  A caller may also hand an
+activation's buffer to the op that reads it last, once nothing else reads
+that activation: the op then keeps its backward buffer there and hands it
+on as the activation's gradient, as GeM does with the map ``MinkLoc``
+pools.
 """
 
 from __future__ import annotations

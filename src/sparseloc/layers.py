@@ -62,10 +62,11 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
                 gx = np.zeros_like(f)
             else:
                 gx = g @ w[centre].T
-                gw[centre] = f.T @ g
+                np.matmul(f.T, g, out=gw[centre])
             for k, ri, ro in segments:
-                gx[ri] += g[ro] @ w[k].T
-                gw[k] += f[ri].T @ g[ro]
+                gk = g[ro]
+                gx[ri] += gk @ w[k].T
+                np.matmul(f[ri].T, gk, out=gw[k])
             gwt.add(gw)
             gxv.add(gx)
 
@@ -100,7 +101,11 @@ def sparse_transposed_conv(x: SparseTensor, weight: Var, kernel_size: int = 2,
     f = x.features
     # (c_in, K^3 * c_out): one GEMM yields every child of an input row
     wbig = w.transpose(1, 0, 2).reshape(c_in, n_off * c_out)
-    yvar = Var((f @ wbig).reshape(-1, c_out))
+    # written into an array of the output's shape, so the output owns it and
+    # a consumer can hand it to Grad.add without a copy
+    out = np.empty((len(f) * n_off, c_out))
+    np.matmul(f, wbig, out=out.reshape(len(f), n_off * c_out))
+    yvar = Var(out)
     if tape is not None:
         gwt, gxv = weight.acc, x.fvar.acc
 

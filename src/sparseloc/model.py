@@ -75,23 +75,30 @@ _GEM_BLOCK = 256
 
 
 def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
-             eps: float = 1e-6):
+             eps: float = 1e-6, *, reuse_map: bool = False):
     """Generalized-mean pooling per batch item.
 
     g_k = (mean_j clamp(f_jk, eps)^p)^(1/p); differentiable in features and p.
     Returns (Var of shape (B, c), list of batch ids).
 
     Each item's rows run in blocks of ``_GEM_BLOCK`` rows, one block at a
-    time while it is in cache: clamp, r^p as exp(p log r), and column sums
-    as ``ones @ block``.  Every p, integer or not, with or without a tape,
-    takes this one path.  Without a tape the blocks go through one
-    block-sized scratch buffer, so nothing of the map's size is allocated.
-    With a tape they go into the rows of ``powers``, and the forward also
-    sums r^p p log r for dy/dp, then turns each block into r^p / c [c > eps]
-    while it is still in cache.  The backward only scales each item's rows
-    of that buffer into the input gradient, so it never reads the map.
-    Where the direct power could overflow, values are
-    max * (mean (c/max)^p)^(1/p), so the ratios stay in (0, 1].
+    time while it is in cache: clamp once into a block-sized scratch r,
+    the ratio's power as exp(p log(r / max)), and column sums as
+    ``ones @ block``.  Every p, integer or not, with or without a tape,
+    takes this one path, and without a tape nothing of the map's size is
+    allocated.  With a tape each block's power goes into a map-sized
+    backward buffer; the forward also sums power * p log(ratio) for dy/dp,
+    then turns the block into power / r [r > eps] while it is in cache.
+    The backward only scales each item's rows of that buffer into the
+    input gradient, so it never reads the map.  max is 1 where the direct
+    power cannot overflow, else each item's per-channel max, so the
+    ratios stay in (0, 1].
+
+    ``reuse_map=True`` hands the map's features over: with a tape and rows
+    already in item order (as ``batch_tensor`` gives them), the buffer is
+    the features array itself, which then holds power / r [r > eps] and,
+    after the backward, the map's gradient.  Otherwise the features stay
+    unchanged.
     """
     f = fmap.features
     if len(f) == 0:
@@ -109,32 +116,33 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
 
     # skip the ratio normalization when the direct power cannot overflow
     direct = p * np.log(max(float(f.max()), 1.0)) < 300.0
-    scratch = np.empty((min(_GEM_BLOCK, len(f)), f.shape[1]))
-    ones = np.ones(len(scratch))
-    powers = None if tape is None else np.empty_like(f)
+    r = np.empty((min(_GEM_BLOCK, len(f)), f.shape[1]))
+    scratch = np.empty_like(r)
+    ones = np.ones(len(r))
+    powers = None
+    if tape is not None:
+        powers = f if reuse_map and order is None else np.empty_like(f)
     maxes = np.ones((len(ids), f.shape[1]))
     means = np.zeros_like(maxes)
-    plogs = np.zeros_like(maxes)   # sum_j r^p p log r, with a tape
+    plogs = np.zeros_like(maxes)   # sum_j power * p log(ratio), with a tape
     for b, (s, e) in enumerate(bounds):
         if not direct:
             maxes[b] = np.maximum(rows(s, e).max(axis=0), eps)
         for i, j in blocks(s, e):
-            lg = scratch[:j - i]
-            pb = lg if powers is None else powers[i:j]
-            np.maximum(rows(i, j), eps, out=pb)
-            if not direct:
-                pb /= maxes[b]
-            np.log(pb, out=lg)
+            rb, lg = r[:j - i], scratch[:j - i]
+            # powers[i:j] may be these very rows: nothing reads them after
+            np.maximum(rows(i, j), eps, out=rb)
+            np.log(rb if direct else np.divide(rb, maxes[b], out=lg), out=lg)
             lg *= p
+            pb = lg if powers is None else powers[i:j]
             np.exp(lg, out=pb)
             means[b] += ones[:j - i] @ pb
             if powers is not None:
                 lg *= pb
                 plogs[b] += ones[:j - i] @ lg
                 # the block's share of dy/dc, up to the per-item factor
-                np.maximum(rows(i, j), eps, out=lg)
-                pb /= lg
-                pb *= lg > eps
+                pb /= rb
+                pb *= rb > eps
     means /= sizes
     out = maxes * means ** (1.0 / p)
     yvar = Var(out)
@@ -287,9 +295,11 @@ class MinkLoc:
     # -- forward -----------------------------------------------------------
 
     def pool(self, fmap: SparseTensor, tape: Tape | None = None):
+        """Pool the backbone's map, which dies here: with a tape, GeM keeps
+        its backward buffer in the map's features."""
         if self.cfg.pooling == "mac":
             return mac_pool(fmap, tape)
-        return gem_pool(fmap, self.gem_p, tape)
+        return gem_pool(fmap, self.gem_p, tape, reuse_map=True)
 
     def embed_tensor(self, st: SparseTensor, tape: Tape | None = None,
                      train: bool = False):

@@ -1,16 +1,18 @@
 """Tape ownership rules: which gradients a Var adopts, and what a backward frees."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from sparseloc import (BatchNorm, PointCloud, SparseConv, SparseTensor, Tape,
-                       Var, batch_tensor)
+from sparseloc import (BatchNorm, MinkLoc, ModelConfig, PointCloud, SparseConv,
+                       SparseTensor, Tape, Var, batch_tensor)
 from sparseloc import model as model_mod
 from sparseloc.autodiff import Grad
 from sparseloc.train import mined_triplet_loss
+from conftest import TINY_CFG
 
 
 class TestAddGrad:
@@ -152,10 +154,39 @@ class TestTrainingStepOwnership:
         tape = Tape()
         emb, _ = tiny_model.embed_tensor(_step_tensor(rng), tape, train=True)
         loss, _ = mined_triplet_loss(tape, emb, [(0, 1, 2)], margin=100.0)
-        # no backward reads the upsampled map: GeM keeps its own buffer
-        assert refs[0]() is None
+        # no backward reads the upsampled map: its array lives on only as
+        # GeM's backward buffer, becomes the map's gradient, and dies with
+        # the backward
+        assert refs[0]() is not None
         tape.backward(loss)
+        assert refs[0]() is None
         assert all(v.grad is not None for v in tiny_model.named_params().values())
+
+    def test_pooling_adds_no_map_sized_buffer(self, rng, monkeypatch):
+        # GeM's backward buffer is the map it pools; blocks of 32 rows keep
+        # its scratch small next to the 64-channel map of a small step
+        model = MinkLoc(ModelConfig(**{**TINY_CFG, "descriptor_dim": 64}), seed=0)
+        monkeypatch.setattr(model_mod, "_GEM_BLOCK", 32)
+        seen = []
+        gem = model_mod.gem_pool
+
+        def watched(fmap, *args, **kwargs):
+            nbytes = fmap.features.nbytes
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = gem(fmap, *args, **kwargs)
+            seen.append((tracemalloc.get_traced_memory()[1] - start, nbytes))
+            return out
+
+        monkeypatch.setattr(model_mod, "gem_pool", watched)
+        st = _step_tensor(rng)
+        tracemalloc.start()
+        try:
+            model.embed_tensor(st, Tape(), train=True)
+        finally:
+            tracemalloc.stop()
+        [(grown, nbytes)] = seen
+        assert grown < nbytes / 2
 
     def test_forward_frees_what_no_backward_reads(
             self, tiny_model, rng, monkeypatch):

@@ -150,6 +150,13 @@ class TestTransposedConv:
                     parent + np.concatenate([[0], off * 2])).tolist()
         assert len(np.unique(out.coords, axis=0)) == out.n
 
+    def test_output_owns_its_buffer(self):
+        # an owned output is adopted by Grad.add, a view would be copied
+        x = SparseTensor(np.array([[0, 0, 0, 0], [0, 2, 0, 0]]),
+                         np.ones((2, 2)), stride=2)
+        out = sparse_transposed_conv(x, Var(np.ones((8, 2, 3))))
+        assert out.features.shape == (16, 3) and out.features.base is None
+
     def test_kernel_size_must_equal_stride(self):
         x = SparseTensor(np.array([[0, 0, 0, 0]]), np.array([[1.0]]), stride=2)
         with pytest.raises(ShapeError):

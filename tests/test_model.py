@@ -232,6 +232,71 @@ class TestGemBlocks:
             assert max_rel_err(var.grad, numeric_grad(loss, var, h=1e-4)) < 1e-4
 
 
+def _item_ordered_map(rng, scale):
+    """Items ending inside, at and just past a block, rows in item order."""
+    block = model_module._GEM_BLOCK
+    batch = np.repeat(np.arange(4), [1, block - 1, block + 1, 2 * block + 3])
+    return column_tensor(rng.uniform(-0.2, scale, size=(len(batch), 16)),
+                         batch=batch)
+
+
+# p = 200 at scale 10 takes the max-factored path
+HAND_OVER_P = [(3.0, 2.0), (3.17, 2.0), (200.0, 10.0)]
+
+
+class TestGemHandOver:
+    """``reuse_map=True`` lets GeM keep its backward buffer in the map."""
+
+    @staticmethod
+    def _step(x, p, seed, **kwargs):
+        p_var, tape = Var(np.asarray(p)), Tape()
+        out, _ = gem_pool(x, p_var, tape, **kwargs)
+        tape.backward(out, seed)
+        return out.value, x.fvar.grad, p_var.grad
+
+    @pytest.mark.parametrize("p, scale", HAND_OVER_P)
+    def test_default_leaves_the_map_unchanged(self, p, scale):
+        rng = np.random.default_rng(11)
+        x = _item_ordered_map(rng, scale)
+        before = x.features.copy()
+        _, gx, _ = self._step(x, p, rng.normal(size=(4, 16)))
+        assert np.array_equal(x.features, before)
+        assert not np.shares_memory(gx, x.features)
+
+    @pytest.mark.parametrize("p, scale", HAND_OVER_P)
+    def test_reuse_hands_the_features_over_as_the_gradient(self, p, scale):
+        rng = np.random.default_rng(12)
+        x = _item_ordered_map(rng, scale)
+        copy = SparseTensor(x.coords, x.features.copy())
+        seed = rng.normal(size=(4, 16))
+        held = x.features
+        got = self._step(x, p, seed, reuse_map=True)
+        want = self._step(copy, p, seed)
+        assert got[1] is held
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("p, scale", HAND_OVER_P)
+    def test_reuse_on_permuted_rows_takes_a_fresh_buffer(self, p, scale):
+        rng = np.random.default_rng(13)
+        ordered = _item_ordered_map(rng, scale)
+        perm = rng.permutation(ordered.n)
+        x = SparseTensor(ordered.coords[perm], ordered.features[perm])
+        before = x.features.copy()
+        seed = rng.normal(size=(4, 16))
+        got = self._step(x, p, seed, reuse_map=True)
+        assert np.array_equal(x.features, before)
+        assert not np.shares_memory(got[1], x.features)
+        want = self._step(SparseTensor(x.coords, before.copy()), p, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_reuse_without_a_tape_leaves_the_map_unchanged(self):
+        x = _item_ordered_map(np.random.default_rng(14), 2.0)
+        before = x.features.copy()
+        out, _ = gem_pool(x, Var(np.asarray(3.17)), reuse_map=True)
+        assert np.array_equal(x.features, before)
+        assert np.array_equal(out.value, gem_pool(x, Var(np.asarray(3.17)))[0].value)
+
+
 def gem_parent(fmap, p, g, eps=1e-6):
     """The taped GeM as it was before its forward prepared the input
     gradient: the backward clamps each block again, divides, scales and
