@@ -1,5 +1,15 @@
 """Sparse-voxel convolution engine and point-cloud place recognition pipeline."""
 
+import os as _os
+
+# One BLAS thread unless the environment sets a count: on 2 cores a second
+# thread made embedding slower, and a training step ~7x slower beside another
+# busy process.  numpy reads the count when it first loads, so this only
+# takes effect when the package is imported before numpy.
+if not any(var in _os.environ for var in
+           ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .autodiff import Tape, Var
 from .data import (Dataset, PointCloudRecord, TrainingTuple, build_tuples,
                    load_cloud, load_index, synth_dataset, write_cloud,

@@ -8,12 +8,13 @@
   gradcheck  --seed --corrupt
 
 Config values resolve with precedence CLI flag > config file > default.
-Config files are flat ``key=value`` text; ``#`` starts a comment.  ``embed``
-and ``query`` build the network that the checkpoint's arrays describe (its
-widths, descriptor dimension and pooling) and read only
-``quantization_step`` and ``normalize`` from the config, which no array
-records.  Exit codes: 0 ok, 1 usage error, 2 data error (an OS error on a
-file included), 3 numeric failure.
+Config files are flat ``key=value`` text; ``#`` starts a comment.  Every
+config field is an int, a float or a str.  ``embed`` and ``query`` build
+the network that the checkpoint's arrays describe (its widths, descriptor
+dimension and pooling) and read only ``quantization_step`` from the
+config, which no array records.  Exit codes: 0 ok, 1 usage error, 2 data
+error (an OS error on a file and a refused config value included), 3
+numeric failure.
 """
 
 from __future__ import annotations
@@ -70,11 +71,6 @@ def _coerce(key: str, raw: str):
         return int(raw)
     if ftype in ("float", float):
         return float(raw)
-    if ftype in ("bool", bool):
-        word = raw.lower()
-        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-            raise FormatError(f"{key}: expected a boolean, got {raw!r}")
-        return word in ("1", "true", "yes", "on")
     return raw
 
 
@@ -90,7 +86,7 @@ def resolve_configs(args) -> tuple[TrainingConfig, ModelConfig, AugmentConfig,
 
 
 def _load_model(args) -> MinkLoc:
-    """The checkpoint's network, quantizing and normalizing as configured."""
+    """The checkpoint's network, quantizing as configured."""
     _, mcfg, _, _ = resolve_configs(args)
     state = load_checkpoint(args.checkpoint)
     model = MinkLoc(checkpoint_config(state, mcfg))

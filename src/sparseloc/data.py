@@ -88,10 +88,9 @@ def write_index(path: str, records: list[PointCloudRecord]):
                         repr(float(r.easting)), r.split])
 
 
-def build_tuples(records: list[PointCloudRecord],
-                 pos_radius: float = POSITIVE_RADIUS,
-                 neg_radius: float = NEGATIVE_RADIUS) -> dict[int, TrainingTuple]:
-    """Positives within pos_radius (inclusive), non-negatives below neg_radius.
+def build_tuples(records: list[PointCloudRecord]) -> dict[int, TrainingTuple]:
+    """Positives within ``POSITIVE_RADIUS`` (inclusive), non-negatives below
+    ``NEGATIVE_RADIUS``.
 
     Distances are Euclidean over (northing, easting).  Both sets exclude the
     record itself; positives are a subset of non_negatives.
@@ -101,8 +100,8 @@ def build_tuples(records: list[PointCloudRecord],
     d = np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(-1))
     out = {}
     for i, rid in enumerate(ids):
-        pos = {ids[j] for j in np.nonzero(d[i] <= pos_radius)[0] if j != i}
-        nn = {ids[j] for j in np.nonzero(d[i] < neg_radius)[0] if j != i}
+        pos = {ids[j] for j in np.nonzero(d[i] <= POSITIVE_RADIUS)[0] if j != i}
+        nn = {ids[j] for j in np.nonzero(d[i] < NEGATIVE_RADIUS)[0] if j != i}
         out[rid] = TrainingTuple(id=rid, positives=pos, non_negatives=nn | pos)
     return out
 
@@ -132,16 +131,16 @@ def _normalize(points: np.ndarray) -> np.ndarray:
 
 
 def synth_dataset(root: str, n_places: int, n_revisits: int,
-                  geometry_seed: int = 0, points_per_cloud: int = 1024,
-                  place_spacing: float = 60.0) -> list[PointCloudRecord]:
+                  geometry_seed: int = 0,
+                  points_per_cloud: int = 1024) -> list[PointCloudRecord]:
     """Generate a desk-scale dataset of revisited synthetic places.
 
     Each place is a distinct random geometry revisited ``n_revisits`` times
     with small pose and noise perturbations.  Revisits stay within 3 m of the
-    place center, places sit ``place_spacing`` m apart, so a record's
-    positives are exactly its siblings and all cross-place pairs are valid
-    negatives.  Writes cloud files, a full ``index.csv`` and one
-    ``run_<r>.csv`` per revisit (usable as query / database splits).
+    place center, places sit 60 m apart, so a record's positives are exactly
+    its siblings and all cross-place pairs are valid negatives.  Writes
+    cloud files, a full ``index.csv`` and one ``run_<r>.csv`` per revisit
+    (usable as query / database splits).
     """
     if n_places < 2:
         raise DatasetError("need at least two places")
@@ -151,7 +150,7 @@ def synth_dataset(root: str, n_places: int, n_revisits: int,
     for p in range(n_places):
         geo_rng = np.random.default_rng(geometry_seed * 10_007 + p)
         base = _place_geometry(geo_rng, points_per_cloud)
-        cx = place_spacing * p
+        cx = 60.0 * p
         for r in range(n_revisits):
             angle = rng.uniform(-0.02, 0.02)
             c, s = np.cos(angle), np.sin(angle)
@@ -176,20 +175,18 @@ def synth_dataset(root: str, n_places: int, n_revisits: int,
 class Dataset:
     """Records, tuples and cached point arrays rooted at a directory."""
 
-    def __init__(self, root: str, records: list[PointCloudRecord],
-                 pos_radius: float = POSITIVE_RADIUS,
-                 neg_radius: float = NEGATIVE_RADIUS):
+    def __init__(self, root: str, records: list[PointCloudRecord]):
         self.root = root
         self.records = {r.id: r for r in records}
         if len(self.records) != len(records):
             raise DatasetError("duplicate record ids in index")
-        self.tuples = build_tuples(records, pos_radius, neg_radius)
+        self.tuples = build_tuples(records)
         self._cache: dict[int, np.ndarray] = {}
 
     @classmethod
-    def from_index(cls, index_path: str, **kw) -> "Dataset":
+    def from_index(cls, index_path: str) -> "Dataset":
         return cls(os.path.dirname(os.path.abspath(index_path)),
-                   load_index(index_path), **kw)
+                   load_index(index_path))
 
     def load_points(self, rid: int) -> np.ndarray:
         if rid not in self._cache:

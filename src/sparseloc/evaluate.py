@@ -20,6 +20,11 @@ _DB_MAGIC = b"SLDESC1\n"
 class EvalConfig:
     success_radius: float = 25.0  # meters
 
+    def __post_init__(self):
+        if not self.success_radius >= 0:
+            raise ValueError("success_radius must be at least 0, "
+                             f"got {self.success_radius}")
+
 
 class DescriptorDatabase:
     """Geo-tagged descriptors with unique ids and a uniform dimension.

@@ -36,13 +36,20 @@ class ModelConfig:
     conv3_ch: int = 64
     descriptor_dim: int = 256
     pooling: str = "gem"  # gem | mac
-    gem_p_init: float = 3.0
     quantization_step: float = 0.01
-    normalize: bool = False  # optional L2-normalization of descriptors
 
     def __post_init__(self):
         if self.pooling not in ("gem", "mac"):
             raise ValueError(f"pooling must be gem or mac, got {self.pooling!r}")
+        if not (np.isfinite(self.quantization_step)
+                and self.quantization_step > 0):
+            raise ValueError("quantization_step must be finite and positive, "
+                             f"got {self.quantization_step}")
+        for name in ("conv0_ch", "conv1_ch", "conv2_ch", "conv3_ch",
+                     "descriptor_dim"):
+            width = getattr(self, name)
+            if width < 1:
+                raise ValueError(f"{name} must be at least 1, got {width}")
 
 
 @dataclass
@@ -72,14 +79,16 @@ def _batch_slices(coords: np.ndarray):
 # Rows per GeM block: 256 rows x 256 channels of float64 is 512 KiB, which
 # stays in a 2 MiB L2 from the clamp through log, exp and the column sums.
 _GEM_BLOCK = 256
+# GeM clamps features to at least this, so log and 1/r stay finite.
+_GEM_EPS = 1e-6
 
 
 def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
-             eps: float = 1e-6, *, reuse_map: bool = False):
+             *, reuse_map: bool = False):
     """Generalized-mean pooling per batch item.
 
     g_k = (mean_j clamp(f_jk, eps)^p)^(1/p); differentiable in features and p.
-    Returns (Var of shape (B, c), list of batch ids).
+    Returns (Var of shape (B, c), list of batch ids).  eps is ``_GEM_EPS``.
 
     Each item's rows run in blocks of ``_GEM_BLOCK`` rows, one block at a
     time while it is in cache: clamp once into a block-sized scratch r,
@@ -127,11 +136,11 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
     plogs = np.zeros_like(maxes)   # sum_j power * p log(ratio), with a tape
     for b, (s, e) in enumerate(bounds):
         if not direct:
-            maxes[b] = np.maximum(rows(s, e).max(axis=0), eps)
+            maxes[b] = np.maximum(rows(s, e).max(axis=0), _GEM_EPS)
         for i, j in blocks(s, e):
             rb, lg = r[:j - i], scratch[:j - i]
             # powers[i:j] may be these very rows: nothing reads them after
-            np.maximum(rows(i, j), eps, out=rb)
+            np.maximum(rows(i, j), _GEM_EPS, out=rb)
             np.log(rb if direct else np.divide(rb, maxes[b], out=lg), out=lg)
             lg *= p
             pb = lg if powers is None else powers[i:j]
@@ -142,7 +151,7 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
                 plogs[b] += ones[:j - i] @ lg
                 # the block's share of dy/dc, up to the per-item factor
                 pb /= rb
-                pb *= rb > eps
+                pb *= rb > _GEM_EPS
     means /= sizes
     out = maxes * means ** (1.0 / p)
     yvar = Var(out)
@@ -290,7 +299,7 @@ class MinkLoc:
         self.cfg = cfg or ModelConfig()
         rng = np.random.default_rng(seed)
         self.backbone = MinkFPN(self.cfg, rng)
-        self.gem_p = Var(np.asarray(float(self.cfg.gem_p_init)))
+        self.gem_p = Var(np.asarray(3.0))  # MinkLoc3D's initial GeM p
 
     # -- forward -----------------------------------------------------------
 
@@ -304,11 +313,7 @@ class MinkLoc:
     def embed_tensor(self, st: SparseTensor, tape: Tape | None = None,
                      train: bool = False):
         """Returns (descriptor matrix Var of shape (B, d), batch ids)."""
-        fmap = self.backbone(st, tape, train)
-        emb, batch_ids = self.pool(fmap, tape)
-        if self.cfg.normalize:
-            emb = _l2_normalize(emb, tape)
-        return emb, batch_ids
+        return self.pool(self.backbone(st, tape, train), tape)
 
     def embed_clouds(self, clouds: list[PointCloud], tape: Tape | None = None,
                      train: bool = False):
@@ -377,20 +382,6 @@ class MinkLoc:
 
     def param_count(self) -> int:
         return sum(v.value.size for v in self.named_params().values())
-
-
-def _l2_normalize(emb: Var, tape: Tape | None):
-    norms = np.linalg.norm(emb.value, axis=1, keepdims=True)
-    norms = np.maximum(norms, 1e-12)
-    yvar = Var(emb.value / norms)
-    if tape is not None:
-        y, gemb = yvar.value, emb.acc
-
-        def backward(g):
-            gemb.add((g - y * (g * y).sum(axis=1, keepdims=True)) / norms)
-
-        tape.record_for(yvar, backward)
-    return yvar
 
 
 def batch_tensor(clouds: list[PointCloud], step: float) -> SparseTensor:

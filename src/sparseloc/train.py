@@ -229,13 +229,13 @@ def lr_for_epoch(cfg: TrainingConfig, epoch: int) -> float:
 class Adam:
     """Adam with coupled L2 weight decay (decay added to the gradient)."""
 
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
     def __init__(self, params: dict[str, Var], lr: float,
-                 weight_decay: float = 0.0, betas=(0.9, 0.999), eps: float = 1e-8):
+                 weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v.value) for k, v in params.items()}
         self.v = {k: np.zeros_like(v.value) for k, v in params.items()}

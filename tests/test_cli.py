@@ -3,6 +3,8 @@
 import argparse
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -95,17 +97,15 @@ class TestConfigResolution:
         with pytest.raises(FormatError):
             cli._coerce("no_such_key", "1")
 
-    @pytest.mark.parametrize("raw,want", [("1", True), ("TRUE", True),
-                                          ("Yes", True), ("on", True),
-                                          ("0", False), ("False", False),
-                                          ("NO", False), ("off", False)])
-    def test_bool_words(self, raw, want):
-        assert cli._coerce("normalize", raw) is want
-
     @pytest.mark.parametrize("raw", ["ture", "2", "", "y"])
     def test_unknown_bool_rejected(self, raw):
-        with pytest.raises(FormatError):
+        # normalize is no config key, whatever its value
+        with pytest.raises(FormatError, match="normalize"):
             cli._coerce("normalize", raw)
+
+    def test_config_fields_are_int_float_or_str(self):
+        # _coerce parses only these; any other type would stay a raw string
+        assert set(cli._CONFIG_FIELDS.values()) <= {"int", "float", "str"}
 
     def test_precedence_flag_over_file_over_default(self, tmp_path):
         path = tmp_path / "a.cfg"
@@ -141,17 +141,52 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
         assert "index" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["pooling = GEM", "pooling = avg",
-                                      "normalize = ture"])
+    @pytest.mark.parametrize("line", [
+        "pooling = GEM", "pooling = avg", "normalize = ture",
+        "normalize = true", "gem_p_init = 3", "descriptor_dim = 0",
+        "conv0_ch = 0", "conv3_ch = -1", "quantization_step = 0",
+        "quantization_step = -0.01", "quantization_step = inf",
+        "quantization_step = nan"])
     def test_bad_config_value_is_2(self, tmp_path, synth_root, capsys, line):
-        # "GEM" would pool with GeM but leave gem.p out of the parameters
+        # "GEM" would pool with GeM but leave gem.p out of the parameters;
+        # normalize and gem_p_init are not config keys
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         code = run(["train", "--config", str(cfg), "--dataset", synth_root,
                     "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_DATA
-        assert line.split()[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and line.split()[0] in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_descriptor_dim_flag_below_1_is_2(self, tmp_path, synth_root,
+                                              capsys):
+        out = tmp_path / "out"
+        code = run(["train", "--dataset", synth_root, "--out", str(out),
+                    "--descriptor-dim", "0"])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "descriptor_dim" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("radius", ["nan", "-5"])
+    def test_bad_radius_is_2(self, tmp_path, capsys, radius):
+        paths = [str(tmp_path / f"run{r}.db") for r in range(2)]
+        for r, path in enumerate(paths):
+            save_database(path, DescriptorDatabase(
+                np.ones((3, 3)), np.zeros(3), np.zeros(3), np.arange(3) + 10 * r))
+        out = tmp_path / "r.csv"
+        code = run(["eval", "--db", paths[0], "--query", paths[1],
+                    "--out", str(out), f"--radius={radius}"])
+        assert code == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "success_radius" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
 
     def test_corrupt_checkpoint_is_2(self, tmp_path, synth_root, capsys):
         bad = tmp_path / "bad.ckpt"
@@ -697,3 +732,26 @@ class TestEmbedIndex:
                                  "--index", index,
                                  "--out", str(tmp_path / "d.db")], capsys)
         assert "duplicate record ids" in err
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, want", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"OMP_NUM_THREADS": "2"}, "None"),
+])
+def test_blas_runs_one_thread_unless_set(preset, want):
+    # a fresh interpreter, so the package loads before numpy, as the
+    # console script loads it
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    got = subprocess.run(
+        [sys.executable, "-c", "import os, sparseloc; "
+         "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert got.stdout.strip() == want

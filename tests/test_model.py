@@ -14,8 +14,7 @@ from sparseloc import layers, sparse
 from sparseloc import model as model_module
 from sparseloc.errors import EmptyInput, FormatError
 from sparseloc.gradcheck import max_rel_err, numeric_grad
-from sparseloc.model import (_add_lateral, _compose, _l2_normalize,
-                             checkpoint_config)
+from sparseloc.model import _add_lateral, _compose, checkpoint_config
 from sparseloc.sparse import downsample_coords, downsample_map
 from conftest import TINY_CFG, coord_rows
 
@@ -625,26 +624,6 @@ class TestBackbone:
         assert np.all(np.isfinite(d.values))
 
 
-class TestNormalize:
-    def test_descriptor_rows_have_unit_norm(self, rng):
-        model = MinkLoc(ModelConfig(**TINY_CFG, normalize=True), seed=0)
-        clouds = [PointCloud(rng.uniform(-0.9, 0.9, size=(60, 3)))
-                  for _ in range(3)]
-        emb, _ = model.embed_clouds(clouds)
-        assert emb.value.shape == (3, TINY_CFG["descriptor_dim"])
-        assert np.allclose(np.linalg.norm(emb.value, axis=1), 1.0,
-                           rtol=0, atol=1e-12)
-
-    def test_gradient_matches_finite_differences(self, rng):
-        emb = Var(rng.normal(size=(3, 5)))
-        mix = rng.normal(size=(3, 5))
-        tape = Tape()
-        tape.backward(_l2_normalize(emb, tape), mix)
-        numeric = numeric_grad(
-            lambda: float((_l2_normalize(emb, None).value * mix).sum()), emb)
-        assert max_rel_err(emb.grad, numeric) < 1e-6
-
-
 class TestDescriptorInvariance:
     def test_deterministic(self, tiny_model, rng):
         pts = rng.uniform(-0.9, 0.9, size=(50, 3))
@@ -756,10 +735,9 @@ class TestCheckpoint:
     def test_shape_read_from_state(self, pooling):
         cfg = ModelConfig(conv0_ch=2, conv1_ch=3, conv2_ch=4, conv3_ch=5,
                           descriptor_dim=6, pooling=pooling,
-                          quantization_step=0.05, normalize=True)
+                          quantization_step=0.05)
         state = MinkLoc(cfg, seed=0).state_dict()
-        got = checkpoint_config(state, ModelConfig(quantization_step=0.05,
-                                                   normalize=True))
+        got = checkpoint_config(state, ModelConfig(quantization_step=0.05))
         assert got == cfg
         MinkLoc(got).load_state_dict(state)
 

@@ -344,7 +344,7 @@ class TestOptimizer:
         # with g identically 1, bias-corrected moments are exactly 1 at every
         # step, so each update moves by lr / (1 + eps)
         w = Var(np.asarray(1.0))
-        opt = Adam({"w": w}, lr=0.1, weight_decay=0.0, eps=1e-8)
+        opt = Adam({"w": w}, lr=0.1, weight_decay=0.0)
         for _ in range(5):
             w.grad = np.asarray(1.0)
             opt.step()
