@@ -2,19 +2,18 @@
 
   train      --config --seed --dataset --out --descriptor-dim --pooling
              --epochs --batch --batch-limit
-  embed      --config --checkpoint --index --out
-  eval       --config --db --query --out --radius
-  query      --config --checkpoint --db --cloud -k
+  embed      --checkpoint --index --out
+  eval       --db --query --out --radius
+  query      --checkpoint --db --cloud -k
   gradcheck  --seed --corrupt
 
-Config values resolve with precedence CLI flag > config file > default.
-Config files are flat ``key=value`` text; ``#`` starts a comment.  Every
-config field is an int, a float or a str.  ``embed`` and ``query`` build
-the network that the checkpoint's arrays describe (its widths, descriptor
-dimension and pooling) and read only ``quantization_step`` from the
-config, which no array records.  Exit codes: 0 ok, 1 usage error, 2 data
-error (an OS error on a file and a refused config value included), 3
-numeric failure.
+Only ``train`` reads a config file.  Its values resolve with precedence
+CLI flag > config file > default.  Config files are flat ``key=value``
+text; ``#`` starts a comment.  Every config field is an int, a float or a
+str.  ``embed`` and ``query`` build the network that the checkpoint
+records: its widths, descriptor dimension, pooling and quantization step.
+Exit codes: 0 ok, 1 usage error, 2 data error (an OS error on a file and
+a refused config or checkpoint value included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-_CONFIGS = (TrainingConfig, ModelConfig, AugmentConfig, ev.EvalConfig)
+_CONFIGS = (TrainingConfig, ModelConfig, AugmentConfig)
 _CONFIG_FIELDS = {f.name: f.type for cls in _CONFIGS
                   for f in dataclasses.fields(cls)}
 
@@ -74,8 +73,7 @@ def _coerce(key: str, raw: str):
     return raw
 
 
-def resolve_configs(args) -> tuple[TrainingConfig, ModelConfig, AugmentConfig,
-                                   ev.EvalConfig]:
+def resolve_configs(args) -> tuple[TrainingConfig, ModelConfig, AugmentConfig]:
     """Defaults, overlaid by the config file, overlaid by same-named flags."""
     raw = parse_config_file(args.config) if args.config else {}
     values = {key: _coerce(key, val) for key, val in raw.items()}
@@ -86,10 +84,9 @@ def resolve_configs(args) -> tuple[TrainingConfig, ModelConfig, AugmentConfig,
 
 
 def _load_model(args) -> MinkLoc:
-    """The checkpoint's network, quantizing as configured."""
-    _, mcfg, _, _ = resolve_configs(args)
+    """The network that the checkpoint records."""
     state = load_checkpoint(args.checkpoint)
-    model = MinkLoc(checkpoint_config(state, mcfg))
+    model = MinkLoc(checkpoint_config(state))
     model.load_state_dict(state)
     return model
 
@@ -123,7 +120,7 @@ def _embed_records(model: MinkLoc, root: str,
 
 
 def cmd_train(args) -> int:
-    tcfg, mcfg, acfg, _ = resolve_configs(args)
+    tcfg, mcfg, acfg = resolve_configs(args)
     dataset = data_io.Dataset.from_index(
         os.path.join(args.dataset, "index.csv"))
     model = MinkLoc(mcfg, seed=args.seed)
@@ -146,7 +143,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _, _, _, ecfg = resolve_configs(args)
+    ecfg = ev.EvalConfig(args.success_radius)
     dbs = [ev.load_database(p) for p in args.db]
     queries = [ev.load_database(p) for p in args.query]
     # --query x --db product; cross_run_pairings pairs within one list
@@ -233,22 +230,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("embed", help="embed an index into a descriptor db")
-    sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--index", required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_embed)
 
     sp = sub.add_parser("eval", help="Recall@N evaluation over runs")
-    sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--db", nargs="+", required=True)
     sp.add_argument("--query", nargs="+", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--radius", dest="success_radius", type=float)
+    sp.add_argument("--radius", dest="success_radius", type=float,
+                    default=ev.EvalConfig.success_radius)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("query", help="top-k search for one cloud")
-    sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--db", required=True)
     sp.add_argument("--cloud", required=True)

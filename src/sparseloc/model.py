@@ -14,7 +14,7 @@ import json
 import os
 import struct
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -350,12 +350,16 @@ class MinkLoc:
         for name, bn in self._batch_norms().items():
             state[f"{name}.mean"] = bn.running_mean.copy()
             state[f"{name}.var"] = bn.running_var.copy()
+        # no parameter, but the weights hold only for the voxels of this step
+        state["quantization_step"] = np.asarray(self.cfg.quantization_step,
+                                                dtype=np.float64)
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
         params, bns = self.named_params(), self._batch_norms()
-        extra = set(state).difference(params, (f"{name}.{stat}" for name in bns
-                                                for stat in ("mean", "var")))
+        extra = set(state).difference(params, ["quantization_step"],
+                                      (f"{name}.{stat}" for name in bns
+                                       for stat in ("mean", "var")))
         if extra:
             raise FormatError("checkpoint entries this model does not hold: "
                               + ", ".join(sorted(extra)))
@@ -374,6 +378,10 @@ class MinkLoc:
         if p is not None and not (np.isfinite(p) and p > 0):
             raise FormatError(f"checkpoint gem.p must be finite and positive, "
                               f"got {float(p)}")
+        step = float(fetch("quantization_step", ()))
+        if step != self.cfg.quantization_step:
+            raise FormatError(f"checkpoint quantization_step {step} differs "
+                              f"from the model's {self.cfg.quantization_step}")
         for name, var in params.items():
             var.value = values[name]
         for name, bn in bns.items():
@@ -408,23 +416,28 @@ def compute_descriptor(cloud: PointCloud, model: MinkLoc) -> Descriptor:
     return Descriptor(emb.value[0], source_id=cloud.source_id)
 
 
-def checkpoint_config(state: dict, cfg: ModelConfig) -> ModelConfig:
-    """``cfg`` with the network shape that ``state`` records: each width is
-    a conv weight's output channels, and ``gem.p`` is there iff GeM pools."""
-    def width(name: str) -> int:
+def checkpoint_config(state: dict) -> ModelConfig:
+    """The network that ``state`` records: each width is a conv weight's
+    output channels, ``gem.p`` is there iff GeM pools, and the quantization
+    step is its own 0-d entry."""
+    def entry(name: str, ndim: int):
         if name not in state:
             raise FormatError(f"checkpoint missing entry {name}")
         shape = np.shape(state[name])
-        if len(shape) != 3 or shape[2] < 1:
+        if len(shape) != ndim or 0 in shape:
             raise FormatError(f"checkpoint entry {name} has shape {shape}")
-        return shape[2]
+        return state[name]
 
-    return replace(cfg, conv0_ch=width("conv0.w"),
-                   conv1_ch=width("conv1.down.w"),
-                   conv2_ch=width("conv2.down.w"),
-                   conv3_ch=width("conv3.down.w"),
-                   descriptor_dim=width("lateral2.w"),
-                   pooling="gem" if "gem.p" in state else "mac")
+    def width(name: str) -> int:
+        return np.shape(entry(name, 3))[2]
+
+    return ModelConfig(conv0_ch=width("conv0.w"),
+                       conv1_ch=width("conv1.down.w"),
+                       conv2_ch=width("conv2.down.w"),
+                       conv3_ch=width("conv3.down.w"),
+                       descriptor_dim=width("lateral2.w"),
+                       pooling="gem" if "gem.p" in state else "mac",
+                       quantization_step=float(entry("quantization_step", 0)))
 
 
 # -- checkpoint file -------------------------------------------------------

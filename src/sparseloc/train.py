@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +27,21 @@ class TrainingConfig:
     margin: float = 0.2
 
     def validate(self) -> None:
-        """Refuse a schedule ``train`` cannot honour, before it writes."""
+        """Refuse values ``train`` cannot honour, before it writes: a NaN or
+        infinite value trains NaN weights or dies mid-run."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        for name in ("margin", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, "
+                                 f"got {getattr(self, name)}")
+        if self.expansion_rate < 1:
+            raise ValueError("expansion_rate must be at least 1, "
+                             f"got {self.expansion_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.initial_batch < 2 or self.initial_batch % 2:
@@ -45,6 +59,24 @@ class AugmentConfig:
     removal_max_fraction: float = 0.10
     erase_min_fraction: float = 0.05   # cuboid edge, fraction of bbox extent
     erase_max_fraction: float = 0.5
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be finite and at least 0, "
+                                 f"got {value}")
+        if self.removal_max_fraction >= 1:
+            raise ValueError("removal_max_fraction must be below 1, "
+                             f"got {self.removal_max_fraction}")
+        if self.erase_max_fraction > 1:
+            raise ValueError("erase_max_fraction must be at most 1, "
+                             f"got {self.erase_max_fraction}")
+        # a zero maximum turns erasing off, whatever the minimum
+        if 0 < self.erase_max_fraction < self.erase_min_fraction:
+            raise ValueError(f"erase_min_fraction ({self.erase_min_fraction}) "
+                             "must be at most erase_max_fraction "
+                             f"({self.erase_max_fraction})")
 
 
 @dataclass

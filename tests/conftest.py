@@ -1,8 +1,10 @@
-import numpy as np
-import pytest
-
+# sparseloc first: importing it sets one BLAS thread, which numpy reads
+# only when it first loads
 from sparseloc import MinkLoc, ModelConfig
 from sparseloc.sparse import pack_coords
+
+import numpy as np
+import pytest
 
 
 TINY_CFG = dict(conv0_ch=2, conv1_ch=2, conv2_ch=2, conv3_ch=2,

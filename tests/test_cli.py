@@ -1,6 +1,8 @@
 """Command line behaviour: config resolution, exit codes, end-to-end flow."""
 
 import argparse
+import ctypes
+import glob
 import os
 import struct
 import subprocess
@@ -9,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from sparseloc import (DescriptorDatabase, PointCloudRecord, cli,
+from sparseloc import (DescriptorDatabase, MinkLoc, ModelConfig, PointCloud,
+                       PointCloudRecord, cli, compute_descriptor,
                        load_checkpoint, load_database, save_checkpoint,
                        save_database, write_cloud, write_index)
 from sparseloc import data as data_io
@@ -24,9 +27,9 @@ def run(argv):
 OPTIONS = {
     "train": {"--config", "--seed", "--dataset", "--out", "--descriptor-dim",
               "--pooling", "--epochs", "--batch", "--batch-limit"},
-    "embed": {"--config", "--checkpoint", "--index", "--out"},
-    "eval": {"--config", "--db", "--query", "--out", "--radius"},
-    "query": {"--config", "--checkpoint", "--db", "--cloud", "-k"},
+    "embed": {"--checkpoint", "--index", "--out"},
+    "eval": {"--db", "--query", "--out", "--radius"},
+    "query": {"--checkpoint", "--db", "--cloud", "-k"},
     "gradcheck": {"--seed", "--corrupt"},
 }
 
@@ -39,7 +42,8 @@ REQUIRED = {
 }
 
 REMOVED = ([(cmd, flag) for cmd in ("embed", "eval", "query")
-            for flag in ("--seed", "--descriptor-dim", "--pooling")]
+            for flag in ("--config", "--seed", "--descriptor-dim",
+                         "--pooling")]
            + [("gradcheck", flag)
               for flag in ("--config", "--descriptor-dim", "--pooling")])
 
@@ -51,7 +55,7 @@ class TestOptions:
         got = {name: {o for a in sp._actions for o in a.option_strings}
                - {"-h", "--help"} for name, sp in sub.choices.items()}
         assert got == OPTIONS
-        assert sum(len(opts) for opts in got.values()) == 25
+        assert sum(len(opts) for opts in got.values()) == 22
 
     @pytest.mark.parametrize("cmd,flag", REMOVED)
     def test_removed_flag_is_usage_error(self, capsys, cmd, flag):
@@ -62,22 +66,26 @@ class TestOptions:
 
     def test_flags_set_their_fields(self):
         parser = cli.build_parser()
-        tcfg, mcfg, _, _ = cli.resolve_configs(parser.parse_args(
+        tcfg, mcfg, _ = cli.resolve_configs(parser.parse_args(
             ["train", "--dataset", "x", "--out", "y", "--descriptor-dim", "5",
              "--pooling", "mac", "--epochs", "2", "--batch", "3",
              "--batch-limit", "9"]))
         assert (mcfg.descriptor_dim, mcfg.pooling) == (5, "mac")
         assert (tcfg.epochs, tcfg.initial_batch, tcfg.batch_limit) == (2, 3, 9)
-        *_, ecfg = cli.resolve_configs(parser.parse_args(
-            ["eval", *REQUIRED["eval"], "--radius", "7.5"]))
-        assert ecfg.success_radius == 7.5
+        for flags, radius in (([], 25.0), (["--radius", "7.5"], 7.5)):
+            args = parser.parse_args(["eval", *REQUIRED["eval"], *flags])
+            assert args.success_radius == radius
 
     def test_dropped_config_key_is_2(self, tmp_path, capsys):
-        cfg = tmp_path / "old.cfg"
-        cfg.write_text("top_n_percent = 1\n")
-        code = run(["eval", "--config", str(cfg), *REQUIRED["eval"]])
-        assert code == cli.EXIT_DATA
-        assert "unknown config key: top_n_percent" in capsys.readouterr().err
+        # success_radius is eval's --radius, which reads no config file
+        for key in ("top_n_percent", "success_radius"):
+            cfg = tmp_path / "old.cfg"
+            cfg.write_text(f"{key} = 1\n")
+            code = run(["train", "--config", str(cfg), "--dataset", "x",
+                        "--out", str(tmp_path / "out")])
+            assert code == cli.EXIT_DATA
+            assert f"unknown config key: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigResolution:
@@ -114,7 +122,7 @@ class TestConfigResolution:
         args = parser.parse_args(["train", "--config", str(path),
                                   "--epochs", "7", "--dataset", "x",
                                   "--out", "y"])
-        tcfg, mcfg, _, _ = cli.resolve_configs(args)
+        tcfg, mcfg, _ = cli.resolve_configs(args)
         assert tcfg.epochs == 7        # flag wins
         assert tcfg.margin == 0.3      # file wins over default
         assert tcfg.lr == 1e-3         # default survives
@@ -146,10 +154,16 @@ class TestExitCodes:
         "normalize = true", "gem_p_init = 3", "descriptor_dim = 0",
         "conv0_ch = 0", "conv3_ch = -1", "quantization_step = 0",
         "quantization_step = -0.01", "quantization_step = inf",
-        "quantization_step = nan"])
+        "quantization_step = nan", "expansion_rate = 0",
+        "expansion_rate = nan", "lr = inf", "lr = nan", "lr = 0",
+        "weight_decay = nan", "margin = nan", "translation_max = nan",
+        "jitter_sigma = -1", "removal_max_fraction = 1.5",
+        "erase_min_fraction = 0.9", "erase_max_fraction = 1.5"])
     def test_bad_config_value_is_2(self, tmp_path, synth_root, capsys, line):
         # "GEM" would pool with GeM but leave gem.p out of the parameters;
-        # normalize and gem_p_init are not config keys
+        # normalize and gem_p_init are not config keys; a zero expansion
+        # rate or a minimum erase above the maximum died after epoch 1, and
+        # a NaN or infinite value trained NaN weights
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         code = run(["train", "--config", str(cfg), "--dataset", synth_root,
@@ -271,7 +285,7 @@ def pipeline(tmp_path_factory):
     code = cli.main(["train", "--config", str(cfg), "--dataset", root,
                      "--out", out, "--seed", "0"])
     assert code == cli.EXIT_OK
-    return {"root": root, "cfg": str(cfg), "out": out,
+    return {"root": root, "out": out,
             "ckpt": os.path.join(out, "epoch_2.ckpt"), "base": base}
 
 
@@ -282,8 +296,7 @@ class TestPipeline:
 
     def test_embed_writes_database(self, pipeline, capsys):
         db_path = str(pipeline["base"] / "run0.db")
-        code = run(["embed", "--config", pipeline["cfg"],
-                    "--checkpoint", pipeline["ckpt"],
+        code = run(["embed", "--checkpoint", pipeline["ckpt"],
                     "--index", os.path.join(pipeline["root"], "run_0.csv"),
                     "--out", db_path])
         assert code == cli.EXIT_OK
@@ -292,34 +305,58 @@ class TestPipeline:
         assert "clouds/s" in capsys.readouterr().out
 
     def test_index_is_directory_is_2(self, pipeline, tmp_path, capsys):
-        code = run(["embed", "--config", pipeline["cfg"],
-                    "--checkpoint", pipeline["ckpt"],
+        code = run(["embed", "--checkpoint", pipeline["ckpt"],
                     "--index", str(tmp_path), "--out", str(tmp_path / "d.db")])
         assert code == cli.EXIT_DATA
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
-    def test_shape_comes_from_checkpoint(self, pipeline, capsys):
-        # the tiny widths are read from the checkpoint, not from tiny.cfg
-        step_only = pipeline["base"] / "step_only.cfg"
-        step_only.write_text("quantization_step = 0.02\n")
+    def test_step_comes_from_checkpoint(self, pipeline, capsys):
+        # trained at 0.02, not the default 0.01; embed reads no config file
+        cfg = ModelConfig(conv0_ch=2, conv1_ch=2, conv2_ch=2, conv3_ch=2,
+                          descriptor_dim=3, quantization_step=0.02)
+        model = MinkLoc(cfg)
+        model.load_state_dict(load_checkpoint(pipeline["ckpt"]))
+        index = os.path.join(pipeline["root"], "run_0.csv")
+        records = sorted(data_io.load_index(index), key=lambda rec: rec.id)
+        descs = [compute_descriptor(PointCloud(data_io.load_cloud(
+            os.path.join(pipeline["root"], rec.path))), model).values
+            for rec in records]
+        want = str(pipeline["base"] / "step_want.db")
+        save_database(want, DescriptorDatabase(
+            np.stack(descs), np.array([rec.northing for rec in records]),
+            np.array([rec.easting for rec in records]),
+            np.array([rec.id for rec in records])))
+        got = str(pipeline["base"] / "step_got.db")
+        assert run(["embed", "--checkpoint", pipeline["ckpt"],
+                    "--index", index, "--out", got]) == cli.EXIT_OK
+        for suffix in ("", ".geo.csv"):
+            with open(got + suffix, "rb") as a, open(want + suffix, "rb") as b:
+                assert a.read() == b.read()
+
+    @pytest.mark.parametrize("step", [None, np.nan, 0.0])
+    def test_bad_quantization_step_is_2(self, pipeline, capsys, step):
+        state = load_checkpoint(pipeline["ckpt"])
+        if step is None:
+            del state["quantization_step"]
+        else:
+            state["quantization_step"] = np.asarray(step)
+        bad = str(pipeline["base"] / f"step_{step}.ckpt")
+        save_checkpoint(bad, state)
+        out = pipeline["base"] / f"step_{step}.db"
+        index = os.path.join(pipeline["root"], "run_0.csv")
         cloud = os.path.join(pipeline["root"], "place000_rev00.bin")
-        outputs = []
-        for i, cfg in enumerate((pipeline["cfg"], str(step_only))):
-            db_path = str(pipeline["base"] / f"shape{i}.db")
-            assert run(["embed", "--config", cfg,
-                        "--checkpoint", pipeline["ckpt"],
-                        "--index", os.path.join(pipeline["root"], "run_0.csv"),
-                        "--out", db_path]) == cli.EXIT_OK
-            capsys.readouterr()
-            assert run(["query", "--config", cfg,
-                        "--checkpoint", pipeline["ckpt"], "--db", db_path,
-                        "--cloud", cloud, "-k", "3"]) == cli.EXIT_OK
-            with open(db_path, "rb") as db, open(db_path + ".geo.csv") as geo:
-                outputs.append((db.read(), geo.read(),
-                                capsys.readouterr().out))
-        assert outputs[0] == outputs[1]
+        for argv in (["embed", "--index", index, "--out", str(out)],
+                     ["query", "--db", str(pipeline["base"] / "q.db"),
+                      "--cloud", cloud]):
+            assert run(argv + ["--checkpoint", bad]) == cli.EXIT_DATA
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert "quantization_step" in captured.err
+            assert "Traceback" not in captured.err
+        assert not out.exists()
 
     def test_checkpoint_without_lateral_is_2(self, pipeline, capsys):
         state = load_checkpoint(pipeline["ckpt"])
@@ -327,7 +364,7 @@ class TestPipeline:
         bad = str(pipeline["base"] / "no_lateral.ckpt")
         save_checkpoint(bad, state)
         out = pipeline["base"] / "no_lateral.db"
-        code = run(["embed", "--config", pipeline["cfg"], "--checkpoint", bad,
+        code = run(["embed", "--checkpoint", bad,
                     "--index", os.path.join(pipeline["root"], "run_0.csv"),
                     "--out", str(out)])
         assert code == cli.EXIT_DATA
@@ -339,8 +376,7 @@ class TestPipeline:
     def test_embed_deterministic(self, pipeline, capsys):
         paths = [str(pipeline["base"] / f"det{i}.db") for i in range(2)]
         for p in paths:
-            run(["embed", "--config", pipeline["cfg"],
-                 "--checkpoint", pipeline["ckpt"],
+            run(["embed", "--checkpoint", pipeline["ckpt"],
                  "--index", os.path.join(pipeline["root"], "run_1.csv"),
                  "--out", p])
         with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
@@ -350,8 +386,7 @@ class TestPipeline:
         dbs = []
         for r in range(2):
             p = str(pipeline["base"] / f"eval{r}.db")
-            run(["embed", "--config", pipeline["cfg"],
-                 "--checkpoint", pipeline["ckpt"],
+            run(["embed", "--checkpoint", pipeline["ckpt"],
                  "--index", os.path.join(pipeline["root"], f"run_{r}.csv"),
                  "--out", p])
             dbs.append(p)
@@ -369,14 +404,12 @@ class TestPipeline:
 
     def test_query_prints_sorted_table(self, pipeline, capsys):
         db_path = str(pipeline["base"] / "q.db")
-        run(["embed", "--config", pipeline["cfg"],
-             "--checkpoint", pipeline["ckpt"],
+        run(["embed", "--checkpoint", pipeline["ckpt"],
              "--index", os.path.join(pipeline["root"], "index.csv"),
              "--out", db_path])
         capsys.readouterr()
         cloud = os.path.join(pipeline["root"], "place000_rev00.bin")
-        code = run(["query", "--config", pipeline["cfg"],
-                    "--checkpoint", pipeline["ckpt"], "--db", db_path,
+        code = run(["query", "--checkpoint", pipeline["ckpt"], "--db", db_path,
                     "--cloud", cloud, "-k", "3"])
         assert code == cli.EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
@@ -388,8 +421,7 @@ class TestPipeline:
     def test_query_k_clamped(self, pipeline, capsys):
         db_path = str(pipeline["base"] / "q.db")
         cloud = os.path.join(pipeline["root"], "place000_rev00.bin")
-        code = run(["query", "--config", pipeline["cfg"],
-                    "--checkpoint", pipeline["ckpt"], "--db", db_path,
+        code = run(["query", "--checkpoint", pipeline["ckpt"], "--db", db_path,
                     "--cloud", cloud, "-k", "99"])
         assert code == cli.EXIT_OK
         assert "clamped" in capsys.readouterr().err
@@ -397,8 +429,7 @@ class TestPipeline:
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_query_k_below_one_is_usage_error(self, pipeline, capsys, k):
         cloud = os.path.join(pipeline["root"], "place000_rev00.bin")
-        code = run(["query", "--config", pipeline["cfg"],
-                    "--checkpoint", pipeline["ckpt"],
+        code = run(["query", "--checkpoint", pipeline["ckpt"],
                     "--db", str(pipeline["base"] / "q.db"),
                     "--cloud", cloud, "-k", k])
         assert code == cli.EXIT_USAGE
@@ -420,7 +451,7 @@ class TestPipeline:
             del state["conv1.down.bn.mean"]
             save_checkpoint(bad, state)
         cloud = os.path.join(pipeline["root"], "place000_rev00.bin")
-        code = run(["query", "--config", pipeline["cfg"], "--checkpoint", bad,
+        code = run(["query", "--checkpoint", bad,
                     "--db", str(pipeline["base"] / "q.db"), "--cloud", cloud])
         assert code == cli.EXIT_DATA
         captured = capsys.readouterr()
@@ -441,7 +472,7 @@ class TestPipeline:
         for argv in (["embed", "--index", index, "--out", str(out)],
                      ["query", "--db", str(pipeline["base"] / "q.db"),
                       "--cloud", cloud]):
-            code = run(argv + ["--config", pipeline["cfg"], "--checkpoint", bad])
+            code = run(argv + ["--checkpoint", bad])
             assert code == cli.EXIT_DATA
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -455,8 +486,7 @@ class TestPipeline:
         save_database(db_path, DescriptorDatabase(
             np.ones((6, 5)), np.zeros(6), np.zeros(6), np.arange(6)))
         cloud = os.path.join(pipeline["root"], "place000_rev00.bin")
-        code = run(["query", "--config", pipeline["cfg"],
-                    "--checkpoint", pipeline["ckpt"], "--db", db_path,
+        code = run(["query", "--checkpoint", pipeline["ckpt"], "--db", db_path,
                     "--cloud", cloud])
         assert code == cli.EXIT_DATA
         captured = capsys.readouterr()
@@ -467,8 +497,7 @@ class TestPipeline:
     def test_query_non_finite_database_is_2(self, pipeline, capsys):
         db_path = non_finite_database(pipeline["base"] / "nan.db", dim=3)
         cloud = os.path.join(pipeline["root"], "place000_rev00.bin")
-        code = run(["query", "--config", pipeline["cfg"],
-                    "--checkpoint", pipeline["ckpt"], "--db", db_path,
+        code = run(["query", "--checkpoint", pipeline["ckpt"], "--db", db_path,
                     "--cloud", cloud])
         assert code == cli.EXIT_DATA
         captured = capsys.readouterr()
@@ -480,8 +509,7 @@ class TestPipeline:
                                   np.zeros(3), np.arange(3))
         monkeypatch.setattr(cli, "_embed_records", lambda *args, **kw: huge)
         db_path = pipeline["base"] / "huge.db"
-        code = run(["embed", "--config", pipeline["cfg"],
-                    "--checkpoint", pipeline["ckpt"],
+        code = run(["embed", "--checkpoint", pipeline["ckpt"],
                     "--index", os.path.join(pipeline["root"], "run_0.csv"),
                     "--out", str(db_path)])
         assert code == cli.EXIT_DATA
@@ -505,16 +533,14 @@ class TestQueryCloudErrors:
     def query(self, pipeline, tmp_path):
         db_path = str(pipeline["base"] / "qe.db")
         if not os.path.exists(db_path):
-            assert run(["embed", "--config", pipeline["cfg"],
-                        "--checkpoint", pipeline["ckpt"],
+            assert run(["embed", "--checkpoint", pipeline["ckpt"],
                         "--index", os.path.join(pipeline["root"], "run_0.csv"),
                         "--out", db_path]) == cli.EXIT_OK
 
         def query_points(points):
             cloud = str(tmp_path / "scan.bin")
             write_cloud(cloud, np.asarray(points, dtype=float))
-            return cloud, run(["query", "--config", pipeline["cfg"],
-                               "--checkpoint", pipeline["ckpt"],
+            return cloud, run(["query", "--checkpoint", pipeline["ckpt"],
                                "--db", db_path, "--cloud", cloud, "-k", "2"])
 
         return query_points
@@ -684,8 +710,7 @@ class TestIdsOutsideInt64:
 
     def test_query(self, pipeline, huge_id_db, capsys):
         cloud = os.path.join(pipeline["root"], "place000_rev00.bin")
-        err = assert_data_error(["query", "--config", pipeline["cfg"],
-                                 "--checkpoint", pipeline["ckpt"],
+        err = assert_data_error(["query", "--checkpoint", pipeline["ckpt"],
                                  "--db", huge_id_db, "--cloud", cloud], capsys)
         assert huge_id_db in err
 
@@ -693,8 +718,7 @@ class TestIdsOutsideInt64:
                                     monkeypatch):
         index = index_of(pipeline, tmp_path / "index.csv", [0, 2 ** 63])
         monkeypatch.setattr(data_io, "load_cloud", pytest.fail)
-        err = assert_data_error(["embed", "--config", pipeline["cfg"],
-                                 "--checkpoint", pipeline["ckpt"],
+        err = assert_data_error(["embed", "--checkpoint", pipeline["ckpt"],
                                  "--index", index,
                                  "--out", str(tmp_path / "d.db")], capsys)
         assert "int64" in err and not (tmp_path / "d.db").exists()
@@ -714,9 +738,8 @@ class TestEmbedIndex:
                             lambda path: read.append(path) or load_cloud(path))
         index = os.path.join(pipeline["root"], "run_0.csv")
         out = str(tmp_path / "d.db")
-        assert run(["embed", "--config", pipeline["cfg"],
-                    "--checkpoint", pipeline["ckpt"], "--index", index,
-                    "--out", out]) == cli.EXIT_OK
+        assert run(["embed", "--checkpoint", pipeline["ckpt"],
+                    "--index", index, "--out", out]) == cli.EXIT_OK
         db = load_database(out)
         assert db.ids.tolist() == [0, 3, 6]
         assert sorted(read) == sorted(
@@ -727,8 +750,7 @@ class TestEmbedIndex:
                                            monkeypatch):
         index = index_of(pipeline, tmp_path / "index.csv", [4, 1, 4])
         monkeypatch.setattr(data_io, "load_cloud", pytest.fail)
-        err = assert_data_error(["embed", "--config", pipeline["cfg"],
-                                 "--checkpoint", pipeline["ckpt"],
+        err = assert_data_error(["embed", "--checkpoint", pipeline["ckpt"],
                                  "--index", index,
                                  "--out", str(tmp_path / "d.db")], capsys)
         assert "duplicate record ids" in err
@@ -755,3 +777,16 @@ def test_blas_runs_one_thread_unless_set(preset, want):
          "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
     assert got.stdout.strip() == want
+
+
+def test_suite_blas_reads_the_package_default():
+    # conftest imports sparseloc before numpy, so the OpenBLAS that numpy
+    # loaded read the thread count the package sets (or the environment's)
+    assert any(var in os.environ for var in BLAS_VARS)
+    want = os.environ.get("OPENBLAS_NUM_THREADS")
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas64_*"))
+    if want is None or not libs:
+        pytest.skip("no OPENBLAS_NUM_THREADS, or no scipy-openblas64 in numpy")
+    lib = ctypes.CDLL(libs[0])
+    assert lib.scipy_openblas_get_num_threads64_() == int(want)

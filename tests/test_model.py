@@ -737,9 +737,33 @@ class TestCheckpoint:
                           descriptor_dim=6, pooling=pooling,
                           quantization_step=0.05)
         state = MinkLoc(cfg, seed=0).state_dict()
-        got = checkpoint_config(state, ModelConfig(quantization_step=0.05))
+        got = checkpoint_config(state)
         assert got == cfg
         MinkLoc(got).load_state_dict(state)
+
+    @pytest.mark.parametrize("step", [None, np.nan, 0.0, 0.05, np.zeros(1)])
+    def test_quantization_step_must_match(self, step):
+        # the step is an entry, not a parameter Adam updates; a checkpoint
+        # loads only into a network at its own step
+        model = MinkLoc(ModelConfig(**TINY_CFG), seed=0)
+        before = model.state_dict()
+        assert before["quantization_step"].shape == ()
+        assert "quantization_step" not in model.named_params()
+        state = MinkLoc(ModelConfig(**TINY_CFG), seed=1).state_dict()
+        if step is None:
+            del state["quantization_step"]
+        else:
+            state["quantization_step"] = np.asarray(step)
+        with pytest.raises(FormatError, match="quantization_step"):
+            model.load_state_dict(state)
+        after = model.state_dict()
+        assert all(np.array_equal(after[k], before[k]) for k in before)
+        if step == 0.05:
+            assert checkpoint_config(state).quantization_step == 0.05
+        else:
+            with pytest.raises((FormatError, ValueError),
+                               match="quantization_step"):
+                checkpoint_config(state)
 
     @pytest.mark.parametrize("damage", ["missing", "not_3d", "no_channels"])
     def test_shape_from_damaged_state_rejected(self, damage):
@@ -751,7 +775,7 @@ class TestCheckpoint:
         else:
             state["conv2.down.w"] = state["conv2.down.w"][:, :, :0]
         with pytest.raises(FormatError, match="conv2.down.w"):
-            checkpoint_config(state, ModelConfig())
+            checkpoint_config(state)
 
     def test_missing_param_rejected(self, tmp_path):
         cfg = ModelConfig(**TINY_CFG)

@@ -12,11 +12,12 @@ from sparseloc import (Adam, AugmentConfig, Dataset, MinkLoc, ModelConfig,
                        PointCloud, PointCloudRecord, SimilarityMasks,
                        TrainingConfig, Var, augment, batch_hard_mine,
                        build_tuples, compute_masks, dynamic_batch_expand,
-                       mined_triplet_loss, partition_epoch, train,
-                       triplet_margin_loss)
+                       load_checkpoint, mined_triplet_loss, partition_epoch,
+                       train, triplet_margin_loss)
 from sparseloc.autodiff import Tape
 from sparseloc.data import TrainingTuple
 from sparseloc.errors import NumericError, ShapeError
+from sparseloc.model import checkpoint_config
 from sparseloc.train import lr_for_epoch, pairwise_distances
 from conftest import TINY_CFG
 
@@ -401,8 +402,11 @@ class TestTrainLoop:
         hist = train(ds, model, cfg, seed=0, out_dir=out)
         assert len(hist) == cfg.epochs
         assert os.path.exists(os.path.join(out, "metrics.csv"))
+        # each checkpoint records the whole network, its step included
+        assert model.cfg.quantization_step != ModelConfig().quantization_step
         for e in range(cfg.epochs):
-            assert os.path.exists(os.path.join(out, f"epoch_{e + 1}.ckpt"))
+            state = load_checkpoint(os.path.join(out, f"epoch_{e + 1}.ckpt"))
+            assert checkpoint_config(state) == model.cfg
         with open(os.path.join(out, "metrics.csv")) as fh:
             lines = fh.read().strip().splitlines()
         assert lines[0] == "epoch,batch_size,mean_loss,active_ratio,lr"
