@@ -1,7 +1,7 @@
 """Command line interface; each command takes only the flags it reads.
 
-  train      --config --seed --dataset --out --descriptor-dim --pooling
-             --epochs --batch --batch-limit
+  train      --config --seed --dataset --out --descriptor-dim --epochs
+             --batch --batch-limit
   embed      --checkpoint --index --out
   eval       --db --query --out --radius
   query      --checkpoint --db --cloud -k
@@ -9,9 +9,9 @@
 
 Only ``train`` reads a config file.  Its values resolve with precedence
 CLI flag > config file > default.  Config files are flat ``key=value``
-text; ``#`` starts a comment.  Every config field is an int, a float or a
-str.  ``embed`` and ``query`` build the network that the checkpoint
-records: its widths, descriptor dimension, pooling and quantization step.
+text; ``#`` starts a comment.  Every config field is an int or a float.
+``embed`` and ``query`` build the network that the checkpoint records: its
+widths, descriptor dimension and quantization step.
 Exit codes: 0 ok, 1 usage error, 2 data error (an OS error on a file and
 a refused config or checkpoint value included), 3 numeric failure.
 """
@@ -66,11 +66,11 @@ def _coerce(key: str, raw: str):
     if key not in _CONFIG_FIELDS:
         raise FormatError(f"unknown config key: {key}")
     ftype = _CONFIG_FIELDS[key]
-    if ftype in ("int", int):
-        return int(raw)
-    if ftype in ("float", float):
-        return float(raw)
-    return raw
+    try:
+        return int(raw) if ftype == "int" else float(raw)
+    except ValueError:
+        raise FormatError(f"config key {key}: expected {ftype}, "
+                          f"got '{raw}'") from None
 
 
 def resolve_configs(args) -> tuple[TrainingConfig, ModelConfig, AugmentConfig]:
@@ -223,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dataset", required=True, help="dataset root directory")
     sp.add_argument("--out", required=True, help="output run directory")
     sp.add_argument("--descriptor-dim", type=int)
-    sp.add_argument("--pooling", choices=("gem", "mac"))
     sp.add_argument("--epochs", type=int)
     sp.add_argument("--batch", dest="initial_batch", type=int)
     sp.add_argument("--batch-limit", type=int)

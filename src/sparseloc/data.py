@@ -38,7 +38,7 @@ class TrainingTuple:
     non_negatives: set = field(default_factory=set)
 
 
-def load_cloud(path: str, expected_points: int | None = None) -> np.ndarray:
+def load_cloud(path: str) -> np.ndarray:
     """Read a raw xyz binary into an (n, 3) float64 array."""
     size = os.path.getsize(path)
     if size == 0:
@@ -46,9 +46,6 @@ def load_cloud(path: str, expected_points: int | None = None) -> np.ndarray:
     if size % 24:
         raise FormatError(f"{path}: size {size} not divisible by 24 bytes")
     pts = np.fromfile(path, dtype="<f8").reshape(-1, 3)
-    if expected_points is not None and len(pts) != expected_points:
-        raise FormatError(
-            f"{path}: expected {expected_points} points, found {len(pts)}")
     if pts.min() < -1.0 or pts.max() > 1.0:
         warnings.warn(f"{path}: coordinates outside [-1, 1]", stacklevel=2)
     return pts

@@ -222,12 +222,11 @@ class SparseConv:
     """Convolution layer holding its weight tensor."""
 
     def __init__(self, c_in: int, c_out: int, kernel_size: int, stride: int = 1,
-                 rng: np.random.Generator | None = None):
+                 *, rng: np.random.Generator):
         self.c_in, self.c_out = c_in, c_out
         self.kernel_size = kernel_size
         self.stride = stride
         n_off = len(kernel_offsets(kernel_size))
-        rng = rng or np.random.default_rng()
         scale = np.sqrt(2.0 / (n_off * c_in))  # Kaiming fan-in
         self.weight = Var(rng.normal(0.0, scale, size=(n_off, c_in, c_out)))
 

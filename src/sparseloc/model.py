@@ -1,4 +1,4 @@
-"""Network assembly: FPN-style sparse backbone plus GeM/MAC pooling head.
+"""Network assembly: FPN-style sparse backbone plus GeM pooling head.
 
 The backbone follows the MinkFPN layout: a K=5 stem, three bottom-up blocks
 (stride-2 downsampling conv followed by a two-conv residual block, each conv
@@ -35,12 +35,9 @@ class ModelConfig:
     conv2_ch: int = 64
     conv3_ch: int = 64
     descriptor_dim: int = 256
-    pooling: str = "gem"  # gem | mac
     quantization_step: float = 0.01
 
     def __post_init__(self):
-        if self.pooling not in ("gem", "mac"):
-            raise ValueError(f"pooling must be gem or mac, got {self.pooling!r}")
         if not (np.isfinite(self.quantization_step)
                 and self.quantization_step > 0):
             raise ValueError("quantization_step must be finite and positive, "
@@ -175,28 +172,16 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
     return yvar, ids
 
 
-def mac_pool(fmap: SparseTensor, tape: Tape | None = None):
-    """Per-channel global max over each batch item's rows."""
+def mac_pool(fmap: SparseTensor):
+    """Per-channel global max over each batch item's rows: GeM's p -> inf
+    limit, kept as its reference, not as a head."""
     f = fmap.features
     if len(f) == 0:
         raise EmptyInput("cannot pool an empty feature map")
     order, ids, bounds = _batch_slices(fmap.coords)
     rows = np.arange(len(f)) if order is None else order
     argmax = [rows[s:e][np.argmax(f[rows[s:e]], axis=0)] for s, e in bounds]
-    out = np.stack([f[am, np.arange(f.shape[1])] for am in argmax])
-    yvar = Var(out)
-    if tape is not None:
-        gfv, shape = fmap.fvar.acc, f.shape
-
-        def backward(g):
-            gf = np.zeros(shape)
-            cols = np.arange(shape[1])
-            for b, am in enumerate(argmax):
-                np.add.at(gf, (am, cols), g[b])
-            gfv.add(gf)
-
-        tape.record_for(yvar, backward)
-    return yvar, ids
+    return Var(np.stack([f[am, np.arange(f.shape[1])] for am in argmax])), ids
 
 
 class _ConvBlock:
@@ -293,7 +278,7 @@ class MinkFPN:
 
 
 class MinkLoc:
-    """Point cloud to global descriptor: quantize, backbone, pooling head."""
+    """Point cloud to global descriptor: quantize, backbone, GeM."""
 
     def __init__(self, cfg: ModelConfig | None = None, seed: int = 0):
         self.cfg = cfg or ModelConfig()
@@ -303,17 +288,14 @@ class MinkLoc:
 
     # -- forward -----------------------------------------------------------
 
-    def pool(self, fmap: SparseTensor, tape: Tape | None = None):
-        """Pool the backbone's map, which dies here: with a tape, GeM keeps
-        its backward buffer in the map's features."""
-        if self.cfg.pooling == "mac":
-            return mac_pool(fmap, tape)
-        return gem_pool(fmap, self.gem_p, tape, reuse_map=True)
-
     def embed_tensor(self, st: SparseTensor, tape: Tape | None = None,
                      train: bool = False):
-        """Returns (descriptor matrix Var of shape (B, d), batch ids)."""
-        return self.pool(self.backbone(st, tape, train), tape)
+        """Returns (descriptor matrix Var of shape (B, d), batch ids).
+
+        The backbone's map dies in GeM: with a tape, GeM keeps its backward
+        buffer in the map's features."""
+        return gem_pool(self.backbone(st, tape, train), self.gem_p, tape,
+                        reuse_map=True)
 
     def embed_clouds(self, clouds: list[PointCloud], tape: Tape | None = None,
                      train: bool = False):
@@ -338,8 +320,7 @@ class MinkLoc:
         out["lateral2.w"] = self.backbone.lateral2.weight
         out["lateral3.w"] = self.backbone.lateral3.weight
         out["tconv3.w"] = self.backbone.tconv3.weight
-        if self.cfg.pooling == "gem":
-            out["gem.p"] = self.gem_p
+        out["gem.p"] = self.gem_p
         return out
 
     def _batch_norms(self) -> dict[str, BatchNorm]:
@@ -374,8 +355,8 @@ class MinkLoc:
             return arr.copy()
 
         values = {name: fetch(name, var.value.shape) for name, var in params.items()}
-        p = values.get("gem.p")
-        if p is not None and not (np.isfinite(p) and p > 0):
+        p = values["gem.p"]
+        if not (np.isfinite(p) and p > 0):
             raise FormatError(f"checkpoint gem.p must be finite and positive, "
                               f"got {float(p)}")
         step = float(fetch("quantization_step", ()))
@@ -418,8 +399,7 @@ def compute_descriptor(cloud: PointCloud, model: MinkLoc) -> Descriptor:
 
 def checkpoint_config(state: dict) -> ModelConfig:
     """The network that ``state`` records: each width is a conv weight's
-    output channels, ``gem.p`` is there iff GeM pools, and the quantization
-    step is its own 0-d entry."""
+    output channels, and the quantization step is its own 0-d entry."""
     def entry(name: str, ndim: int):
         if name not in state:
             raise FormatError(f"checkpoint missing entry {name}")
@@ -436,7 +416,6 @@ def checkpoint_config(state: dict) -> ModelConfig:
                        conv2_ch=width("conv2.down.w"),
                        conv3_ch=width("conv3.down.w"),
                        descriptor_dim=width("lateral2.w"),
-                       pooling="gem" if "gem.p" in state else "mac",
                        quantization_step=float(entry("quantization_step", 0)))
 
 

@@ -26,7 +26,7 @@ def run(argv):
 # each command's options; the ones that set a config field have its name as dest
 OPTIONS = {
     "train": {"--config", "--seed", "--dataset", "--out", "--descriptor-dim",
-              "--pooling", "--epochs", "--batch", "--batch-limit"},
+              "--epochs", "--batch", "--batch-limit"},
     "embed": {"--checkpoint", "--index", "--out"},
     "eval": {"--db", "--query", "--out", "--radius"},
     "query": {"--checkpoint", "--db", "--cloud", "-k"},
@@ -39,13 +39,15 @@ REQUIRED = {
     "eval": ["--db", "d.db", "--query", "q.db", "--out", "r.csv"],
     "query": ["--checkpoint", "c.ckpt", "--db", "d.db", "--cloud", "s.bin"],
     "gradcheck": [],
+    "train": ["--dataset", "x", "--out", "y"],
 }
 
 REMOVED = ([(cmd, flag) for cmd in ("embed", "eval", "query")
             for flag in ("--config", "--seed", "--descriptor-dim",
                          "--pooling")]
            + [("gradcheck", flag)
-              for flag in ("--config", "--descriptor-dim", "--pooling")])
+              for flag in ("--config", "--descriptor-dim", "--pooling")]
+           + [("train", "--pooling")])
 
 
 class TestOptions:
@@ -55,7 +57,7 @@ class TestOptions:
         got = {name: {o for a in sp._actions for o in a.option_strings}
                - {"-h", "--help"} for name, sp in sub.choices.items()}
         assert got == OPTIONS
-        assert sum(len(opts) for opts in got.values()) == 22
+        assert sum(len(opts) for opts in got.values()) == 21
 
     @pytest.mark.parametrize("cmd,flag", REMOVED)
     def test_removed_flag_is_usage_error(self, capsys, cmd, flag):
@@ -68,17 +70,17 @@ class TestOptions:
         parser = cli.build_parser()
         tcfg, mcfg, _ = cli.resolve_configs(parser.parse_args(
             ["train", "--dataset", "x", "--out", "y", "--descriptor-dim", "5",
-             "--pooling", "mac", "--epochs", "2", "--batch", "3",
-             "--batch-limit", "9"]))
-        assert (mcfg.descriptor_dim, mcfg.pooling) == (5, "mac")
+             "--epochs", "2", "--batch", "3", "--batch-limit", "9"]))
+        assert mcfg.descriptor_dim == 5
         assert (tcfg.epochs, tcfg.initial_batch, tcfg.batch_limit) == (2, 3, 9)
         for flags, radius in (([], 25.0), (["--radius", "7.5"], 7.5)):
             args = parser.parse_args(["eval", *REQUIRED["eval"], *flags])
             assert args.success_radius == radius
 
     def test_dropped_config_key_is_2(self, tmp_path, capsys):
-        # success_radius is eval's --radius, which reads no config file
-        for key in ("top_n_percent", "success_radius"):
+        # success_radius is eval's --radius, which reads no config file;
+        # GeM is the only pooling head
+        for key in ("top_n_percent", "success_radius", "pooling"):
             cfg = tmp_path / "old.cfg"
             cfg.write_text(f"{key} = 1\n")
             code = run(["train", "--config", str(cfg), "--dataset", "x",
@@ -112,8 +114,8 @@ class TestConfigResolution:
             cli._coerce("normalize", raw)
 
     def test_config_fields_are_int_float_or_str(self):
-        # _coerce parses only these; any other type would stay a raw string
-        assert set(cli._CONFIG_FIELDS.values()) <= {"int", "float", "str"}
+        # _coerce parses only these; anything not an int is read as a float
+        assert set(cli._CONFIG_FIELDS.values()) <= {"int", "float"}
 
     def test_precedence_flag_over_file_over_default(self, tmp_path):
         path = tmp_path / "a.cfg"
@@ -157,11 +159,12 @@ class TestExitCodes:
         "quantization_step = nan", "expansion_rate = 0",
         "expansion_rate = nan", "lr = inf", "lr = nan", "lr = 0",
         "weight_decay = nan", "margin = nan", "translation_max = nan",
+        "epochs = 2.5", "lr = fast",
         "jitter_sigma = -1", "removal_max_fraction = 1.5",
         "erase_min_fraction = 0.9", "erase_max_fraction = 1.5"])
     def test_bad_config_value_is_2(self, tmp_path, synth_root, capsys, line):
-        # "GEM" would pool with GeM but leave gem.p out of the parameters;
-        # normalize and gem_p_init are not config keys; a zero expansion
+        # pooling, normalize and gem_p_init are not config keys; a value
+        # that is not a number names its key; a zero expansion
         # rate or a minimum erase above the maximum died after epoch 1, and
         # a NaN or infinite value trained NaN weights
         cfg = tmp_path / "bad.cfg"
@@ -358,20 +361,28 @@ class TestPipeline:
             assert "Traceback" not in captured.err
         assert not out.exists()
 
-    def test_checkpoint_without_lateral_is_2(self, pipeline, capsys):
+    def assert_embed_refuses_without(self, pipeline, capsys, entry):
         state = load_checkpoint(pipeline["ckpt"])
-        del state["lateral2.w"]
-        bad = str(pipeline["base"] / "no_lateral.ckpt")
+        del state[entry]
+        bad = str(pipeline["base"] / f"no_{entry}.ckpt")
         save_checkpoint(bad, state)
-        out = pipeline["base"] / "no_lateral.db"
+        out = pipeline["base"] / f"no_{entry}.db"
         code = run(["embed", "--checkpoint", bad,
                     "--index", os.path.join(pipeline["root"], "run_0.csv"),
                     "--out", str(out)])
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "checkpoint" in err
-        assert "lateral2.w" in err
+        assert entry in err
+        assert "Traceback" not in err
         assert not out.exists()
+
+    def test_checkpoint_without_lateral_is_2(self, pipeline, capsys):
+        self.assert_embed_refuses_without(pipeline, capsys, "lateral2.w")
+
+    def test_checkpoint_without_gem_p_is_2(self, pipeline, capsys):
+        # GeM is the only head, so a checkpoint without p (a MAC one) is refused
+        self.assert_embed_refuses_without(pipeline, capsys, "gem.p")
 
     def test_embed_deterministic(self, pipeline, capsys):
         paths = [str(pipeline["base"] / f"det{i}.db") for i in range(2)]

@@ -44,12 +44,6 @@ class TestCloudIO:
         with pytest.raises(EmptyInput):
             load_cloud(str(path))
 
-    def test_expected_points_enforced(self, tmp_path):
-        path = str(tmp_path / "c.bin")
-        write_cloud(path, np.zeros((4, 3)))
-        with pytest.raises(FormatError):
-            load_cloud(path, expected_points=5)
-
 
 class TestIndexIO:
     def test_roundtrip(self, tmp_path):

@@ -1,7 +1,6 @@
-"""Pooling heads, descriptor invariances, backbone shape, checkpoints."""
+"""GeM pooling and its MAC limit, invariances, backbone, checkpoints."""
 
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -347,21 +346,8 @@ def gem_parent(fmap, p, g, eps=1e-6):
     return y, powers, float((g * dy_dp).sum())
 
 
-def mac_parent(fmap, g):
-    """MAC and its input gradient, from the map itself."""
-    f = fmap.features
-    order, _, bounds = model_module._batch_slices(fmap.coords)
-    rows = np.arange(len(f)) if order is None else order
-    cols = np.arange(f.shape[1])
-    argmax = [rows[s:e][np.argmax(f[rows[s:e]], axis=0)] for s, e in bounds]
-    gf = np.zeros_like(f)
-    for b, am in enumerate(argmax):
-        np.add.at(gf, (am, cols), g[b])
-    return np.stack([f[am, cols] for am in argmax]), gf
-
-
 class TestPoolSameNumbers:
-    """Pooling values and gradients equal the backward that re-reads the map."""
+    """GeM's values and gradients equal the backward that re-reads the map."""
 
     @staticmethod
     def pooled_map(shuffled, scale):
@@ -387,20 +373,6 @@ class TestPoolSameNumbers:
         assert np.array_equal(out.value, ref_y)
         assert np.array_equal(x.fvar.grad, ref_gx)
         assert float(p_var.grad) == ref_gp
-
-    @pytest.mark.parametrize("shuffled", [False, True])
-    def test_mac_matches_parent_bit_for_bit(self, shuffled):
-        x, g = self.pooled_map(shuffled, 2.0)
-        ref_y, ref_gx = mac_parent(x, g)
-        tape = Tape()
-        out, _ = mac_pool(x, tape)
-        # the backward needs only the map's shape, not the map
-        acc, feats = x.fvar.acc, weakref.ref(x.features)
-        del x
-        assert feats() is None
-        tape.backward(out, g)
-        assert np.array_equal(out.value, ref_y)
-        assert np.array_equal(acc.grad, ref_gx)
 
 
 class TestMacPool:
@@ -724,18 +696,17 @@ class TestCheckpoint:
 
     def test_extra_entries_rejected(self):
         state = MinkLoc(ModelConfig(**TINY_CFG), seed=0).state_dict()
-        mac = MinkLoc(ModelConfig(**TINY_CFG, pooling="mac"), seed=0)
+        no_p = dict(state)
+        del no_p["gem.p"]   # as a MAC checkpoint had it
         with pytest.raises(FormatError, match="gem.p"):
-            mac.load_state_dict(state)
+            MinkLoc(ModelConfig(**TINY_CFG), seed=0).load_state_dict(no_p)
         state["stray"] = np.zeros(1)
         with pytest.raises(FormatError, match="stray"):
             MinkLoc(ModelConfig(**TINY_CFG), seed=0).load_state_dict(state)
 
-    @pytest.mark.parametrize("pooling", ["gem", "mac"])
-    def test_shape_read_from_state(self, pooling):
+    def test_shape_read_from_state(self):
         cfg = ModelConfig(conv0_ch=2, conv1_ch=3, conv2_ch=4, conv3_ch=5,
-                          descriptor_dim=6, pooling=pooling,
-                          quantization_step=0.05)
+                          descriptor_dim=6, quantization_step=0.05)
         state = MinkLoc(cfg, seed=0).state_dict()
         got = checkpoint_config(state)
         assert got == cfg
