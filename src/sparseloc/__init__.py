@@ -14,7 +14,7 @@ from .autodiff import Tape, Var
 from .data import (Dataset, PointCloudRecord, TrainingTuple, build_tuples,
                    load_cloud, load_index, synth_dataset, write_cloud,
                    write_index)
-from .evaluate import (DescriptorDatabase, EvalConfig, average_recall, knn,
+from .evaluate import (DescriptorDatabase, average_recall, knn,
                        load_database, one_percent_cutoff, recall_at_n,
                        recall_curve, save_database)
 from .layers import (BatchNorm, SparseConv, relu, sparse_add, sparse_conv,

@@ -5,7 +5,7 @@
   embed      --checkpoint --index --out
   eval       --db --query --out --radius
   query      --checkpoint --db --cloud -k
-  gradcheck  --seed --corrupt
+  gradcheck  --seed
 
 Only ``train`` reads a config file.  Its values resolve with precedence
 CLI flag > config file > default.  Config files are flat ``key=value``
@@ -99,10 +99,10 @@ def _file_descriptor(model: MinkLoc, pts: np.ndarray, source) -> Descriptor:
 
 
 def _embed_records(model: MinkLoc, root: str,
-                   records: list[data_io.PointCloudRecord],
-                   report=None) -> ev.DescriptorDatabase:
+                   records: list[data_io.PointCloudRecord]
+                   ) -> ev.DescriptorDatabase:
     """Descriptors of the records' clouds in id order, each cloud read
-    from ``root`` once and dropped after its descriptor."""
+    from ``root`` once and dropped after its descriptor; prints the rate."""
     records = sorted(records, key=lambda rec: rec.id)
     descs = []
     t0 = time.perf_counter()
@@ -110,9 +110,8 @@ def _embed_records(model: MinkLoc, root: str,
         pts = data_io.load_cloud(os.path.join(root, rec.path))
         descs.append(_file_descriptor(model, pts, rec.id).values)
     dt = time.perf_counter() - t0
-    if report:
-        report(f"embedded {len(records)} clouds in {dt:.2f}s "
-               f"({len(records) / dt:.1f} clouds/s)")
+    print(f"embedded {len(records)} clouds in {dt:.2f}s "
+          f"({len(records) / dt:.1f} clouds/s)")
     return ev.DescriptorDatabase(
         np.stack(descs), np.array([rec.northing for rec in records]),
         np.array([rec.easting for rec in records]),
@@ -136,14 +135,13 @@ def cmd_embed(args) -> int:
         raise DatasetError("duplicate record ids in index")
     model = _load_model(args)
     db = _embed_records(model, os.path.dirname(os.path.abspath(args.index)),
-                        records, report=print)
+                        records)
     ev.save_database(args.out, db)
     print(f"wrote {args.out}: count={len(db)} dim={db.dim}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    ecfg = ev.EvalConfig(args.success_radius)
     dbs = [ev.load_database(p) for p in args.db]
     queries = [ev.load_database(p) for p in args.query]
     # --query x --db product; cross_run_pairings pairs within one list
@@ -156,7 +154,7 @@ def cmd_eval(args) -> int:
             db_runs.append(db)
     if not q_runs:
         raise DatasetError("no usable query/database pairings")
-    result = ev.average_recall(q_runs, db_runs, ecfg)
+    result = ev.average_recall(q_runs, db_runs, args.success_radius)
     rows = [("AR@1", result["ar_at_1"]), ("AR@1%", result["ar_at_1pct"])]
     max_n = min(len(db) for db in db_runs)
     curve = np.mean([p["curve"][:max_n] for p in result["pairings"]], axis=0)
@@ -194,7 +192,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_suite(seed=args.seed, corrupt=args.corrupt)
+    results = run_suite(seed=args.seed)
     ok = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -239,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--query", nargs="+", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--radius", dest="success_radius", type=float,
-                    default=ev.EvalConfig.success_radius)
+                    default=ev.SUCCESS_RADIUS)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("query", help="top-k search for one cloud")
@@ -251,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--corrupt", action="store_true",
-                    help="test hook: corrupt one analytic gradient")
     sp.set_defaults(func=cmd_gradcheck)
     return p
 

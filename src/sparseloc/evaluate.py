@@ -6,7 +6,7 @@ import csv
 import os
 import struct
 import warnings
-from dataclasses import dataclass
+from contextlib import suppress
 from itertools import chain
 
 import numpy as np
@@ -14,16 +14,7 @@ import numpy as np
 from .errors import DatasetError, EmptyInput, FormatError, ShapeError
 
 _DB_MAGIC = b"SLDESC1\n"
-
-
-@dataclass
-class EvalConfig:
-    success_radius: float = 25.0  # meters
-
-    def __post_init__(self):
-        if not self.success_radius >= 0:
-            raise ValueError("success_radius must be at least 0, "
-                             f"got {self.success_radius}")
+SUCCESS_RADIUS = 25.0        # metres: PointNetVLAD's true-match radius
 
 
 class DescriptorDatabase:
@@ -243,11 +234,14 @@ def _first_hits(queries: DescriptorDatabase, db: DescriptorDatabase,
 
 
 def recall_curve(queries: DescriptorDatabase, db: DescriptorDatabase,
-                 max_n: int, cfg: EvalConfig | None = None) -> np.ndarray:
+                 max_n: int,
+                 success_radius: float = SUCCESS_RADIUS) -> np.ndarray:
     """recall_at_n for n = 1..max_n, n clamped to len(db).  Each query is
     screened once, in blocks (see ``_screen_block``); the ranks of its first
     hit (len(db) for none) are counted into one cumulative histogram."""
-    cfg = cfg or EvalConfig()
+    if not success_radius >= 0:
+        raise ValueError("success_radius must be at least 0, "
+                         f"got {success_radius}")
     if len(db) == 0:
         raise EmptyInput("empty descriptor database")
     if queries.dim != db.dim:
@@ -259,16 +253,16 @@ def recall_curve(queries: DescriptorDatabase, db: DescriptorDatabase,
         raise ValueError(f"n must be >= 1, got {max_n}")
     if max_n > len(db):
         warnings.warn(f"n={max_n} clamped to database size {len(db)}", stacklevel=2)
-    first = _first_hits(queries, db, cfg.success_radius)
+    first = _first_hits(queries, db, success_radius)
     hits_within = np.cumsum(np.bincount(first, minlength=len(db) + 1))
     n = np.minimum(np.arange(max_n), len(db) - 1)
     return hits_within[n] / max(len(queries), 1)
 
 
 def recall_at_n(queries: DescriptorDatabase, db: DescriptorDatabase,
-                n: int, cfg: EvalConfig | None = None) -> float:
-    """Fraction of queries with a top-n hit within the success radius."""
-    return float(recall_curve(queries, db, n, cfg)[-1])
+                n: int, success_radius: float = SUCCESS_RADIUS) -> float:
+    """Fraction of queries with a top-n hit within ``success_radius``."""
+    return float(recall_curve(queries, db, n, success_radius)[-1])
 
 
 def one_percent_cutoff(db_size: int) -> int:
@@ -278,14 +272,13 @@ def one_percent_cutoff(db_size: int) -> int:
 
 def average_recall(queries_by_run: list[DescriptorDatabase],
                    dbs_by_run: list[DescriptorDatabase],
-                   cfg: EvalConfig | None = None) -> dict:
+                   success_radius: float = SUCCESS_RADIUS) -> dict:
     """AR@1 and AR@1% averaged over (query run, database run) pairings."""
-    cfg = cfg or EvalConfig()
     if not queries_by_run or len(queries_by_run) != len(dbs_by_run):
         raise DatasetError("need matched query / database pairings")
     pairings = []
     for q, db in zip(queries_by_run, dbs_by_run):
-        curve = recall_curve(q, db, len(db), cfg)
+        curve = recall_curve(q, db, len(db), success_radius)
         n1p = one_percent_cutoff(len(db))
         pairings.append({"recall_at_1": float(curve[0]),
                          "recall_at_1pct": float(curve[n1p - 1]),
@@ -318,18 +311,33 @@ _GEO = np.dtype([("id", "<i8"), ("northing", "<f8"), ("easting", "<f8")])
 
 
 def save_database(path: str, db: DescriptorDatabase):
+    """Write ``<path>`` and its sidecar.  Both go to temporary files first
+    and are published with ``os.replace``, sidecar first, so a write that
+    fails leaves a database already at ``path`` as it was."""
     with np.errstate(over="ignore"):
         payload = np.ascontiguousarray(db.descriptors, dtype="<f4")
     if not np.isfinite(payload).all():
         raise ValueError(f"{path}: a descriptor is not finite in float32")
-    with open(path, "wb") as fh:
-        fh.write(_DB_MAGIC)
-        fh.write(struct.pack("<II", db.dim, len(db)))
-        fh.write(payload.tobytes())
-    rows = zip(db.ids.tolist(), db.northing.tolist(), db.easting.tolist())
-    with open(path + ".geo.csv", "w", newline="") as fh:
-        fh.write("id,northing,easting\r\n"
-                 + ("%d,%r,%r\r\n" * len(db)) % tuple(chain.from_iterable(rows)))
+    sidecar = path + ".geo.csv"
+    for target in (path, sidecar):
+        if os.path.isdir(target):
+            raise IsADirectoryError(f"{target}: is a directory")
+    tmp, sidecar_tmp = f"{path}.tmp", f"{sidecar}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_DB_MAGIC)
+            fh.write(struct.pack("<II", db.dim, len(db)))
+            fh.write(payload.tobytes())
+        rows = zip(db.ids.tolist(), db.northing.tolist(), db.easting.tolist())
+        with open(sidecar_tmp, "w", newline="") as fh:
+            fh.write("id,northing,easting\r\n" + ("%d,%r,%r\r\n" * len(db))
+                     % tuple(chain.from_iterable(rows)))
+        os.replace(sidecar_tmp, sidecar)
+        os.replace(tmp, path)
+    finally:
+        for name in (tmp, sidecar_tmp):
+            with suppress(FileNotFoundError):
+                os.remove(name)
 
 
 def _load_geo_tags(sidecar: str):

@@ -352,13 +352,20 @@ class MinkLoc:
             if arr.shape != shape:
                 raise FormatError(f"checkpoint shape mismatch for {name}: "
                                   f"{arr.shape} vs {shape}")
+            if not np.isfinite(arr).all():
+                raise FormatError(f"checkpoint entry {name} is not finite")
             return arr.copy()
 
+        # every entry is checked before any is assigned
         values = {name: fetch(name, var.value.shape) for name, var in params.items()}
-        p = values["gem.p"]
-        if not (np.isfinite(p) and p > 0):
-            raise FormatError(f"checkpoint gem.p must be finite and positive, "
-                              f"got {float(p)}")
+        for name, bn in bns.items():
+            for stat in ("mean", "var"):
+                values[f"{name}.{stat}"] = fetch(f"{name}.{stat}", (bn.channels,))
+            if (values[f"{name}.var"] < 0).any():
+                raise FormatError(f"checkpoint entry {name}.var is negative")
+        if not values["gem.p"] > 0:
+            raise FormatError(f"checkpoint gem.p must be positive, "
+                              f"got {float(values['gem.p'])}")
         step = float(fetch("quantization_step", ()))
         if step != self.cfg.quantization_step:
             raise FormatError(f"checkpoint quantization_step {step} differs "
@@ -366,8 +373,8 @@ class MinkLoc:
         for name, var in params.items():
             var.value = values[name]
         for name, bn in bns.items():
-            bn.running_mean = fetch(f"{name}.mean", bn.running_mean.shape)
-            bn.running_var = fetch(f"{name}.var", bn.running_var.shape)
+            bn.running_mean = values[f"{name}.mean"]
+            bn.running_var = values[f"{name}.var"]
 
     def param_count(self) -> int:
         return sum(v.value.size for v in self.named_params().values())

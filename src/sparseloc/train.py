@@ -259,14 +259,13 @@ def lr_for_epoch(cfg: TrainingConfig, epoch: int) -> float:
 
 
 class Adam:
-    """Adam with coupled L2 weight decay (decay added to the gradient)."""
+    """Adam with coupled L2 weight decay (decay added to the gradient).
+    Each ``step`` takes the learning rate, which the schedule sets."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, Var], lr: float,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: dict[str, Var], weight_decay: float = 0.0):
         self.params = params
-        self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(v.value) for k, v in params.items()}
@@ -276,8 +275,7 @@ class Adam:
         for var in self.params.values():
             var.zero_grad()
 
-    def step(self, lr: float | None = None):
-        lr = self.lr if lr is None else lr
+    def step(self, lr: float):
         self.t += 1
         for name, var in self.params.items():
             g = np.zeros_like(var.value) if var.grad is None else var.grad
@@ -316,7 +314,7 @@ def train(dataset, model: MinkLoc, cfg: TrainingConfig,
     aug_cfg = aug_cfg or AugmentConfig()
     rng = np.random.default_rng(seed)
     params = model.named_params()
-    opt = Adam(params, cfg.lr, weight_decay=cfg.weight_decay)
+    opt = Adam(params, weight_decay=cfg.weight_decay)
     history: list[EpochStats] = []
     batch_size = cfg.initial_batch
     metrics_path = os.path.join(out_dir, "metrics.csv") if out_dir else None
@@ -349,7 +347,7 @@ def train(dataset, model: MinkLoc, cfg: TrainingConfig,
             if active:
                 opt.zero_grads()
                 tape.backward(loss)
-                opt.step(lr=lr)
+                opt.step(lr)
         mean_loss = float(np.mean(losses)) if losses else 0.0
         active_ratio = total_active / total_triplets if total_triplets else 0.0
         stats = EpochStats(epoch, batch_size, mean_loss, active_ratio, lr)

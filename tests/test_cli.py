@@ -4,6 +4,7 @@ import argparse
 import ctypes
 import glob
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -13,9 +14,11 @@ import pytest
 
 from sparseloc import (DescriptorDatabase, MinkLoc, ModelConfig, PointCloud,
                        PointCloudRecord, cli, compute_descriptor,
-                       load_checkpoint, load_database, save_checkpoint,
-                       save_database, write_cloud, write_index)
+                       load_checkpoint, load_database, recall_curve,
+                       save_checkpoint, save_database, write_cloud,
+                       write_index)
 from sparseloc import data as data_io
+from sparseloc import gradcheck
 from sparseloc.errors import FormatError
 
 
@@ -30,7 +33,7 @@ OPTIONS = {
     "embed": {"--checkpoint", "--index", "--out"},
     "eval": {"--db", "--query", "--out", "--radius"},
     "query": {"--checkpoint", "--db", "--cloud", "-k"},
-    "gradcheck": {"--seed", "--corrupt"},
+    "gradcheck": {"--seed"},
 }
 
 # the required flags of each command, with values that are never opened
@@ -45,25 +48,41 @@ REQUIRED = {
 REMOVED = ([(cmd, flag) for cmd in ("embed", "eval", "query")
             for flag in ("--config", "--seed", "--descriptor-dim",
                          "--pooling")]
-           + [("gradcheck", flag)
-              for flag in ("--config", "--descriptor-dim", "--pooling")]
+           + [("gradcheck", flag) for flag in ("--config", "--descriptor-dim",
+                                               "--pooling", "--corrupt")]
            + [("train", "--pooling")])
+
+
+def parser_options() -> dict:
+    """Each command's option strings, from ``build_parser``."""
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {name: {o for a in sp._actions for o in a.option_strings}
+            - {"-h", "--help"} for name, sp in sub.choices.items()}
 
 
 class TestOptions:
     def test_each_command_takes_only_what_it_reads(self):
-        (sub,) = [a for a in cli.build_parser()._actions
-                  if isinstance(a, argparse._SubParsersAction)]
-        got = {name: {o for a in sp._actions for o in a.option_strings}
-               - {"-h", "--help"} for name, sp in sub.choices.items()}
+        got = parser_options()
         assert got == OPTIONS
-        assert sum(len(opts) for opts in got.values()) == 21
+        assert sum(len(opts) for opts in got.values()) == 20
+
+    def test_readme_table_matches_parser(self):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme) as fh:
+            rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|$", fh.read(),
+                              re.MULTILINE)
+        table = {cmd: flags.split() for cmd, flags in rows}
+        assert {cmd: set(flags) for cmd, flags in table.items()} \
+            == parser_options()
+        assert all(len(set(flags)) == len(flags) for flags in table.values())
 
     @pytest.mark.parametrize("cmd,flag", REMOVED)
     def test_removed_flag_is_usage_error(self, capsys, cmd, flag):
-        value = {"--seed": "9", "--descriptor-dim": "7", "--pooling": "mac",
-                 "--config": "x.cfg"}[flag]
-        assert run([cmd, *REQUIRED[cmd], flag, value]) == cli.EXIT_USAGE
+        value = {"--seed": ["9"], "--descriptor-dim": ["7"],
+                 "--pooling": ["mac"], "--config": ["x.cfg"],
+                 "--corrupt": []}[flag]
+        assert run([cmd, *REQUIRED[cmd], flag, *value]) == cli.EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_flags_set_their_fields(self):
@@ -204,6 +223,9 @@ class TestExitCodes:
         assert "success_radius" in captured.err
         assert "Traceback" not in captured.err
         assert not out.exists()
+        with pytest.raises(ValueError, match="success_radius"):
+            recall_curve(load_database(paths[1]), load_database(paths[0]), 1,
+                         float(radius))
 
     def test_corrupt_checkpoint_is_2(self, tmp_path, synth_root, capsys):
         bad = tmp_path / "bad.ckpt"
@@ -267,9 +289,28 @@ class TestGradcheckCommand:
         assert len(lines) == 9
         assert all(l.startswith("PASS") for l in lines)
 
-    def test_corrupt_hook_fails(self, capsys):
-        assert run(["gradcheck", "--seed", "0", "--corrupt"]) == cli.EXIT_NUMERIC
-        assert "FAIL" in capsys.readouterr().out
+    def test_failing_check_is_3(self, capsys, monkeypatch):
+        result = gradcheck.CheckResult
+        monkeypatch.setattr(cli, "run_suite", lambda seed: [
+            result("relu", 0.0, 1e-4), result("sparse_conv", 1.0, 1e-4)])
+        assert run(["gradcheck"]) == cli.EXIT_NUMERIC
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("PASS") and out[1].startswith("FAIL")
+
+    def test_wrong_conv_gradient_fails(self, monkeypatch):
+        # a conv backward that adds 1e-3 to the weight gradient is caught
+        conv = gradcheck.sparse_conv
+
+        def wrong(x, w, *args, tape=None, **kw):
+            out = conv(x, w, *args, tape=tape, **kw)
+            if tape is not None:
+                tape.record_for(out.fvar, lambda g: w.acc.add(
+                    np.full(w.value.shape, 1e-3)))
+            return out
+
+        assert gradcheck.check_conv(np.random.default_rng(0)).passed
+        monkeypatch.setattr(gradcheck, "sparse_conv", wrong)
+        assert not gradcheck.check_conv(np.random.default_rng(0)).passed
 
 
 @pytest.fixture(scope="module")
@@ -491,6 +532,44 @@ class TestPipeline:
             assert "Traceback" not in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry, index, value", [
+        ("conv2.down.bn.mean", (0,), np.inf),
+        ("conv1.res1.w", (0, 0, 0), np.nan),
+        ("conv0.bn.var", (0,), -1.0),
+    ])
+    def test_bad_checkpoint_value_is_2(self, pipeline, capsys, entry, index,
+                                       value):
+        # a value that is not finite, or a negative variance, is refused at load
+        state = load_checkpoint(pipeline["ckpt"])
+        state[entry][index] = value
+        bad = str(pipeline["base"] / f"bad_{entry}.ckpt")
+        save_checkpoint(bad, state)
+        out = pipeline["base"] / f"bad_{entry}.db"
+        code = run(["embed", "--checkpoint", bad, "--out", str(out),
+                    "--index", os.path.join(pipeline["root"], "run_0.csv")])
+        assert code == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and entry in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_unwritable_sidecar_keeps_database(self, pipeline, capsys):
+        db_path = str(pipeline["base"] / "kept.db")
+        old = DescriptorDatabase(np.eye(2), np.zeros(2), np.zeros(2), [7, 8])
+        save_database(db_path, old)
+        os.rename(db_path + ".geo.csv", db_path + ".old")
+        os.mkdir(db_path + ".geo.csv")
+        code = run(["embed", "--checkpoint", pipeline["ckpt"], "--out", db_path,
+                    "--index", os.path.join(pipeline["root"], "run_0.csv")])
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not glob.glob(db_path + "*.tmp")
+        os.rmdir(db_path + ".geo.csv")
+        os.rename(db_path + ".old", db_path + ".geo.csv")
+        back = load_database(db_path)
+        assert np.array_equal(back.descriptors, old.descriptors)
+        assert np.array_equal(back.ids, old.ids)
 
     def test_query_dimension_mismatch_is_2(self, pipeline, capsys):
         db_path = str(pipeline["base"] / "dim5.db")

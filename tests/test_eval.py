@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparseloc import (DescriptorDatabase, EvalConfig, average_recall, cli,
+from sparseloc import (DescriptorDatabase, average_recall, cli,
                        knn, load_database, one_percent_cutoff, recall_at_n,
                        recall_curve, save_database)
 from sparseloc import evaluate
@@ -170,7 +170,7 @@ class TestRecall:
     def test_success_radius_config(self):
         db = self._fixture()
         q = make_db([3.9], [0.0], [0])  # top-1 is 30 m away
-        assert recall_at_n(q, db, 1, EvalConfig(success_radius=35.0)) == 1.0
+        assert recall_at_n(q, db, 1, 35.0) == 1.0
 
 
 def reference_recall_at_n(queries, db, n, radius=25.0):
@@ -555,6 +555,29 @@ class TestDatabaseIO:
         with pytest.raises(FormatError, match="id 11 is NaN or infinite") as exc:
             load_database(path)
         assert path in str(exc.value)
+
+    def test_failed_publish_keeps_database(self, tmp_path, rng, monkeypatch):
+        path = str(tmp_path / "d.db")
+        save_database(path, make_db(rng.normal(size=(3, 2)), [0, 1, 2],
+                                    [0, 1, 2]))
+        before = load_database(path)
+
+        def refuse(src, dst):
+            raise PermissionError(dst)
+        monkeypatch.setattr(evaluate.os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            save_database(path, make_db(np.ones((5, 2)), np.zeros(5),
+                                        np.arange(5)))
+        monkeypatch.undo()
+        assert_same_arrays(load_database(path), before)
+        assert sorted(os.listdir(tmp_path)) == ["d.db", "d.db.geo.csv"]
+
+    def test_directory_target_writes_nothing(self, tmp_path):
+        path = tmp_path / "d.db"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError):
+            save_database(str(path), make_db([[0.0]], [0], [0]))
+        assert [p.name for p in tmp_path.iterdir()] == ["d.db"]
 
     @pytest.mark.parametrize("value", [4e38, -1e300])
     def test_descriptor_past_float32_refused(self, tmp_path, value):

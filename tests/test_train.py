@@ -336,19 +336,19 @@ class TestAugment:
 class TestOptimizer:
     def test_zero_gradient_no_motion(self):
         w = Var(np.array([1.0, -2.0]))
-        opt = Adam({"w": w}, lr=0.1, weight_decay=0.0)
+        opt = Adam({"w": w}, weight_decay=0.0)
         w.grad = np.zeros(2)
-        opt.step()
+        opt.step(0.1)
         assert np.array_equal(w.value, [1.0, -2.0])
 
     def test_constant_gradient_closed_form(self):
         # with g identically 1, bias-corrected moments are exactly 1 at every
         # step, so each update moves by lr / (1 + eps)
         w = Var(np.asarray(1.0))
-        opt = Adam({"w": w}, lr=0.1, weight_decay=0.0)
+        opt = Adam({"w": w}, weight_decay=0.0)
         for _ in range(5):
             w.grad = np.asarray(1.0)
-            opt.step()
+            opt.step(0.1)
         expect = 1.0 - 5 * 0.1 / (1.0 + 1e-8)
         assert abs(float(w.value) - expect) < 1e-12
 
@@ -361,17 +361,17 @@ class TestOptimizer:
 
     def test_weight_decay_pulls_toward_zero(self):
         w = Var(np.asarray(10.0))
-        opt = Adam({"w": w}, lr=0.1, weight_decay=1e-2)
+        opt = Adam({"w": w}, weight_decay=1e-2)
         w.grad = np.asarray(0.0)
-        opt.step()
+        opt.step(0.1)
         assert 0.0 < float(w.value) < 10.0
 
     def test_non_finite_gradient_aborts(self):
         w = Var(np.asarray(1.0))
-        opt = Adam({"w": w}, lr=0.1)
+        opt = Adam({"w": w})
         w.grad = np.asarray(np.nan)
         with pytest.raises(NumericError):
-            opt.step()
+            opt.step(0.1)
 
 
 class TestTrainLoop:
