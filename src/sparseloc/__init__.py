@@ -4,8 +4,10 @@ import os as _os
 
 # One BLAS thread unless the environment sets a count: on 2 cores a second
 # thread made embedding slower, and a training step ~7x slower beside another
-# busy process.  numpy reads the count when it first loads, so this only
-# takes effect when the package is imported before numpy.
+# busy process.  The large ops already run as two halves on two threads
+# (see layers._split), so more BLAS threads would oversubscribe the cores.
+# numpy reads the count when it first loads, so this only takes effect when
+# the package is imported before numpy.
 if not any(var in _os.environ for var in
            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"

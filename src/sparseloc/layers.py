@@ -9,12 +9,110 @@ bias-free for uniformity).
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from .autodiff import Tape, Var
 from .errors import EmptyInput, ShapeError, StrideError
 from .sparse import (SparseTensor, build_kernel_map, downsample_coords,
                      kernel_offsets, offset_key_delta)
+
+
+# Least multiply-adds per offset for which an op runs as two halves.  Each
+# offset's numpy steps hold the GIL for a few microseconds, so the halves
+# gain only where the GEMMs between those steps are long.  On a 2-core
+# Xeon with one BLAS thread, split against whole: eval convs at 0.5 M per
+# offset ran 2.2-2.9x slower, at 1.8-2.2 M 1.1-1.2x slower, at 2.6 M 1.07x
+# faster and at 4.2-4.8 M 1.4x faster; a train-size stride-2 conv at 2.1 M
+# ran 1.2x slower forward, and one at 4.1 M 1.25x faster.
+_SPLIT_WORK = 2_500_000
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    # a child forked after the pool started has no worker thread, and may
+    # hold the lock of a thread that was creating one
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _split(fn, n: int, work: float):
+    """Call ``fn(lo, hi)`` so that it covers ``range(n)`` once.
+
+    With two CPUs in this process's affinity and ``work`` multiply-adds
+    per offset of at least ``_SPLIT_WORK``, ``fn(n // 2, n)`` runs on a
+    pooled worker thread while ``fn(0, n // 2)`` runs here; otherwise
+    ``fn(0, n)`` runs here.  Either way it returns once all of ``range(n)``
+    is done and raises what a half raised.  A half only calls numpy, which
+    releases the GIL in BLAS calls, ``np.take`` and large ufunc loops, and
+    writes rows that the other half does not touch.
+    """
+    if n < 2 or work < _SPLIT_WORK or len(os.sched_getaffinity(0)) < 2:
+        fn(0, n)
+        return
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here, so a process that never splits never loads it
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(max_workers=1,
+                                       thread_name_prefix="sparseloc")
+        second = _pool.submit(fn, n // 2, n)
+    try:
+        fn(0, n // 2)
+    finally:
+        # the worker writes into the caller's arrays: wait for it even when
+        # this half raised, whose error then wins over the worker's
+        second.exception()
+    second.result()
+
+
+def _both(first, second, work: float):
+    """Run the two calls ``first()`` and ``second()`` as :func:`_split`."""
+    _split(lambda lo, hi: [job() for job in (first, second)[lo:hi]], 2, work)
+
+
+def _rows_of(rows: np.ndarray, lo: int, hi: int, n: int):
+    """Index of the entries of ``rows`` in ``[lo, hi)`` out of ``range(n)``:
+    a slice when they ascend, as in the kernel maps of key-ordered voxels,
+    else a mask."""
+    if lo == 0 and hi == n:
+        return slice(None)
+    if np.all(rows[1:] > rows[:-1]):
+        return slice(*np.searchsorted(rows, [lo, hi]))
+    return (rows >= lo) & (rows < hi)
+
+
+def _matmul_rows(a: np.ndarray, b: np.ndarray, n: int, out: np.ndarray):
+    """``out = a @ b`` where ``a`` holds some of the ``n`` rows of a left
+    operand, each output row bit for bit as in the whole product.
+
+    gemm computes each row of a plain product from that row alone, but
+    numpy hands a one-row product to gemv, which rounds differently: a lone
+    row of a larger product goes through gemm twice.  Products with a
+    transposed operand are never cut: OpenBLAS picks their kernel by size.
+    """
+    if len(a) == 1 < n:
+        out[:] = (np.concatenate([a, a]) @ b)[:1]
+    else:
+        np.matmul(a, b, out=out)
+
+
+def _scatter_add(dst: np.ndarray, rows: np.ndarray, src: np.ndarray):
+    """``dst[rows] += src`` for distinct rows of a C-ordered ``dst``,
+    through ``np.take`` and a store of whole rows as single records: numpy's
+    fancy-index row store holds the GIL, and this one mostly does not."""
+    tmp = np.take(dst, rows, axis=0)
+    tmp += src
+    record = np.dtype((np.void, dst.shape[1] * dst.itemsize))
+    dst.view(record).reshape(-1)[rows] = tmp.view(record).reshape(-1)
 
 
 def _check_channels(x: SparseTensor, c_in: int):
@@ -39,34 +137,58 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
     _check_channels(x, c_in)
     f = x.features
     out_coords = x.coords if stride == 1 else downsample_coords(x, stride)[0]
+    n_out = len(out_coords)
     # odd K at stride 1: the centre offset pairs every row with itself, so
     # its term is one plain GEMM (and the whole conv when K == 1)
     centre = n_off // 2 if stride == 1 and kernel_size % 2 else None
-    out = np.zeros((len(out_coords), c_out)) if centre is None else f @ w[centre]
-    segments = []
+    segments, pairs = [], n_out
     if centre is None or n_off > 1:
         kmap = build_kernel_map(x, out_coords, kernel_size)
         b = kmap.bounds
         segments = [(k, kmap.rows_in[b[k]:b[k + 1]], kmap.rows_out[b[k]:b[k + 1]])
                     for k in range(n_off) if k != centre and b[k] < b[k + 1]]
+        pairs = kmap.pair_count()
+    work = pairs / n_off * c_in * c_out
+    out = np.zeros((n_out, c_out)) if centre is None else np.empty((n_out, c_out))
+
+    def out_rows(lo, hi):
+        """Output rows lo:hi, each summed in offset order."""
+        if centre is not None:
+            _matmul_rows(f[lo:hi], w[centre], n_out, out[lo:hi])
         for k, ri, ro in segments:
-            # rows unique within one offset: plain fancy-index add is safe
-            out[ro] += f[ri] @ w[k]
+            # rows are unique within one offset: each is stored once
+            s = _rows_of(ro, lo, hi, n_out)
+            part = np.take(f, ri[s], axis=0)
+            if len(part):
+                prod = np.empty((len(part), c_out))
+                _matmul_rows(part, w[k], len(ri), prod)
+                _scatter_add(out, ro[s], prod)
+
+    _split(out_rows, n_out, work)
     yvar = Var(out)
     if tape is not None:
         gwt, gxv = weight.acc, x.fvar.acc
 
         def backward(g):
+            # one half the input gradient, the other the weight gradients:
+            # every product runs whole, so the bits do not depend on the split
+            gx = np.zeros_like(f) if centre is None else np.empty_like(f)
             gw = np.zeros_like(w)
-            if centre is None:
-                gx = np.zeros_like(f)
-            else:
-                gx = g @ w[centre].T
-                np.matmul(f.T, g, out=gw[centre])
-            for k, ri, ro in segments:
-                gk = g[ro]
-                gx[ri] += gk @ w[k].T
-                np.matmul(f[ri].T, gk, out=gw[k])
+
+            def input_grad():
+                if centre is not None:
+                    np.matmul(g, w[centre].T, out=gx)
+                for k, ri, ro in segments:
+                    _scatter_add(gx, ri, np.take(g, ro, axis=0) @ w[k].T)
+
+            def weight_grad():
+                if centre is not None:
+                    np.matmul(f.T, g, out=gw[centre])
+                for k, ri, ro in segments:
+                    np.matmul(np.take(f, ri, axis=0).T, np.take(g, ro, axis=0),
+                              out=gw[k])
+
+            _both(input_grad, weight_grad, work)
             gwt.add(gw)
             gxv.add(gx)
 
@@ -104,15 +226,21 @@ def sparse_transposed_conv(x: SparseTensor, weight: Var, kernel_size: int = 2,
     # written into an array of the output's shape, so the output owns it and
     # a consumer can hand it to Grad.add without a copy
     out = np.empty((len(f) * n_off, c_out))
-    np.matmul(f, wbig, out=out.reshape(len(f), n_off * c_out))
+    out2d = out.reshape(len(f), n_off * c_out)
+    work = len(f) * c_in * c_out
+    _split(lambda lo, hi: _matmul_rows(f[lo:hi], wbig, len(f), out2d[lo:hi]),
+           len(f), work)
     yvar = Var(out)
     if tape is not None:
         gwt, gxv = weight.acc, x.fvar.acc
 
         def backward(g):
             g = g.reshape(len(f), n_off * c_out)
-            gxv.add(g @ wbig.T)
-            gw = (f.T @ g).reshape(c_in, n_off, c_out)
+            gx, gw = np.empty_like(f), np.empty((c_in, n_off * c_out))
+            _both(lambda: np.matmul(g, wbig.T, out=gx),
+                  lambda: np.matmul(f.T, g, out=gw), work)
+            gxv.add(gx)
+            gw = gw.reshape(c_in, n_off, c_out)
             gwt.add(gw.transpose(1, 0, 2))
 
         tape.record_for(yvar, backward)

@@ -14,13 +14,14 @@ import json
 import os
 import struct
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tape, Var
 from .errors import EmptyInput, FormatError, ShapeError
-from .layers import (BatchNorm, SparseConv, relu, sparse_add,
+from .layers import (BatchNorm, SparseConv, _split, relu, sparse_add,
                      sparse_transposed_conv)
 from .sparse import (KernelMap, PointCloud, SparseTensor, downsample_map,
                      quantize)
@@ -100,6 +101,11 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
     power cannot overflow, else each item's per-channel max, so the
     ratios stay in (0, 1].
 
+    Large maps run their blocks as two halves on two threads (see
+    ``layers._split``).  Each block's column sums go into a row of their
+    own, which are added into the items' sums in block order, so the
+    result does not depend on the split.
+
     ``reuse_map=True`` hands the map's features over: with a tape and rows
     already in item order (as ``batch_tensor`` gives them), the buffer is
     the features array itself, which then holds power / r [r > eps] and,
@@ -120,21 +126,35 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
     def blocks(s, e):
         return [(i, min(i + _GEM_BLOCK, e)) for i in range(s, e, _GEM_BLOCK)]
 
+    # a block's work in GEMM multiply-adds: in a training epoch GeM took
+    # 7.3 ns per element and the convs' GEMMs 0.14 ns per multiply-add
+    work = min(_GEM_BLOCK, len(f)) * f.shape[1] * 50
+    peaks = np.full(2, -np.inf)   # a max is exact in any split
+
+    def peak(lo, hi):
+        peaks[int(lo > 0)] = f[lo:hi].max()
+
+    _split(peak, len(f), work)
     # skip the ratio normalization when the direct power cannot overflow
-    direct = p * np.log(max(float(f.max()), 1.0)) < 300.0
-    r = np.empty((min(_GEM_BLOCK, len(f)), f.shape[1]))
-    scratch = np.empty_like(r)
-    ones = np.ones(len(r))
+    direct = p * np.log(max(float(peaks.max()), 1.0)) < 300.0
     powers = None
     if tape is not None:
         powers = f if reuse_map and order is None else np.empty_like(f)
     maxes = np.ones((len(ids), f.shape[1]))
-    means = np.zeros_like(maxes)
-    plogs = np.zeros_like(maxes)   # sum_j power * p log(ratio), with a tape
-    for b, (s, e) in enumerate(bounds):
-        if not direct:
+    if not direct:
+        for b, (s, e) in enumerate(bounds):
             maxes[b] = np.maximum(rows(s, e).max(axis=0), _GEM_EPS)
-        for i, j in blocks(s, e):
+    todo = [(b, i, j) for b, (s, e) in enumerate(bounds) for i, j in blocks(s, e)]
+    # each block's column sums of power (and of power * p log(ratio)), added
+    # into its item's row in block order once every block is done
+    sums = np.empty((len(todo), 1 if powers is None else 2, f.shape[1]))
+
+    def pool_blocks(lo, hi):
+        r = np.empty((min(_GEM_BLOCK, len(f)), f.shape[1]))
+        scratch = np.empty_like(r)
+        ones = np.ones(len(r))
+        for t in range(lo, hi):
+            b, i, j = todo[t]
             rb, lg = r[:j - i], scratch[:j - i]
             # powers[i:j] may be these very rows: nothing reads them after
             np.maximum(rows(i, j), _GEM_EPS, out=rb)
@@ -142,13 +162,21 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
             lg *= p
             pb = lg if powers is None else powers[i:j]
             np.exp(lg, out=pb)
-            means[b] += ones[:j - i] @ pb
+            sums[t, 0] = ones[:j - i] @ pb
             if powers is not None:
                 lg *= pb
-                plogs[b] += ones[:j - i] @ lg
+                sums[t, 1] = ones[:j - i] @ lg
                 # the block's share of dy/dc, up to the per-item factor
                 pb /= rb
                 pb *= rb > _GEM_EPS
+
+    _split(pool_blocks, len(todo), work)
+    means = np.zeros_like(maxes)
+    plogs = np.zeros_like(maxes)   # sum_j power * p log(ratio), with a tape
+    for t, (b, _, _) in enumerate(todo):
+        means[b] += sums[t, 0]
+        if powers is not None:
+            plogs[b] += sums[t, 1]
     means /= sizes
     out = maxes * means ** (1.0 / p)
     yvar = Var(out)
@@ -443,14 +471,20 @@ def save_checkpoint(path: str, state: dict[str, np.ndarray]):
         blobs.append(blob)
         offset += len(blob)
     hdr = json.dumps(header).encode()
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{path}: is a directory")
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(hdr)))
-        fh.write(hdr)
-        for blob in blobs:
-            fh.write(blob)
-    os.replace(tmp, path)  # atomic publish
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_MAGIC)
+            fh.write(struct.pack("<I", len(hdr)))
+            fh.write(hdr)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)  # atomic publish
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:

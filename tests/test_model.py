@@ -757,3 +757,25 @@ class TestCheckpoint:
         save_checkpoint(path, state)
         with pytest.raises(FormatError):
             MinkLoc(cfg, seed=0).load_state_dict(load_checkpoint(path))
+
+    def test_directory_target_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError):
+            save_checkpoint(str(path), MinkLoc(ModelConfig(**TINY_CFG)).state_dict())
+        assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
+
+    def test_failed_publish_keeps_the_old_checkpoint(self, tmp_path,
+                                                     monkeypatch):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, MinkLoc(ModelConfig(**TINY_CFG), seed=1).state_dict())
+        before = (tmp_path / "m.ckpt").read_bytes()
+
+        def refuse(src, dst):
+            raise PermissionError(dst)
+        monkeypatch.setattr(model_module.os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            save_checkpoint(path, MinkLoc(ModelConfig(**TINY_CFG), seed=2).state_dict())
+        monkeypatch.undo()
+        assert (tmp_path / "m.ckpt").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

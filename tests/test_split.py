@@ -1,0 +1,283 @@
+"""Ops run as two halves on two threads give the bits of one range."""
+
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+import sparseloc
+from sparseloc import (MinkLoc, ModelConfig, PointCloud, SparseTensor, Tape,
+                       Var, build_kernel_map, compute_descriptor, gem_pool,
+                       sparse_conv, sparse_transposed_conv)
+from sparseloc import layers
+from conftest import TINY_CFG
+
+
+@pytest.fixture
+def split_mode(monkeypatch):
+    """``set(split)`` makes every op run as two concurrent halves (also on a
+    one-CPU host) or as one range; ``splits()`` counts the two-half runs."""
+    class CountingPool:
+        def __init__(self):
+            self.pool = ThreadPoolExecutor(max_workers=1)
+            self.count = 0
+
+        def submit(self, *args):
+            self.count += 1
+            return self.pool.submit(*args)
+
+    pool = CountingPool()
+    monkeypatch.setattr(layers, "_pool", pool)
+    monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: {0, 1})
+
+    class Mode:
+        @staticmethod
+        def set(split: bool):
+            monkeypatch.setattr(layers, "_SPLIT_WORK", 0 if split else np.inf)
+
+        @staticmethod
+        def splits():
+            return pool.count
+
+    yield Mode
+    pool.pool.shutdown()
+
+
+def split_and_whole(split_mode, run):
+    """``run()``'s arrays with every op in two halves and in one range."""
+    split_mode.set(False)
+    whole = run()
+    assert split_mode.splits() == 0
+    split_mode.set(True)
+    split = run()
+    assert split_mode.splits() > 0
+    return split, whole
+
+
+def assert_same_bits(split, whole):
+    assert len(split) == len(whole)
+    for a, b in zip(split, whole):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def sparse_coords(rng, n, side, batch=1):
+    cells = rng.choice(side ** 3, size=n, replace=False)
+    xyz = np.column_stack(np.unravel_index(cells, (side,) * 3))
+    return np.column_stack([rng.integers(0, batch, n), xyz])
+
+
+def conv_run(coords, feats, w, g, kernel_size, stride=1):
+    def run():
+        x = SparseTensor(coords, feats.copy())
+        wv = Var(w.copy())
+        tape = Tape()
+        y = sparse_conv(x, wv, kernel_size, stride, tape)
+        tape.backward(y.fvar, g(len(y.features)))
+        return [y.features, x.fvar.grad, wv.grad]
+    return run
+
+
+def seeded(c, seed=5):
+    return lambda n: np.random.default_rng(seed).normal(size=(n, c))
+
+
+class TestConvHalves:
+    @pytest.mark.parametrize("kernel_size,stride,c_in,c_out", [
+        (1, 1, 3, 4), (3, 1, 3, 4), (5, 1, 1, 4), (2, 2, 3, 5)])
+    def test_key_ordered(self, split_mode, kernel_size, stride, c_in, c_out):
+        rng = np.random.default_rng(kernel_size)
+        coords = sparse_coords(rng, 150, 8, batch=2)
+        coords = coords[np.lexsort(coords.T[::-1])]
+        feats = rng.normal(size=(len(coords), c_in))
+        w = rng.normal(size=(kernel_size ** 3, c_in, c_out))
+        run = conv_run(coords, feats, w, seeded(c_out), kernel_size, stride)
+        assert_same_bits(*split_and_whole(split_mode, run))
+
+    def test_unordered_coordinates(self, split_mode):
+        rng = np.random.default_rng(3)
+        coords = sparse_coords(rng, 150, 7, batch=2)
+        feats = rng.normal(size=(len(coords), 3))
+        x = SparseTensor(coords, feats)
+        # mirrored offsets of unordered voxels do not ascend: the halves
+        # must find their rows without assuming order
+        kmap = build_kernel_map(x, x.coords, 3)
+        b = kmap.bounds
+        assert any(np.any(np.diff(kmap.rows_out[b[k]:b[k + 1]]) < 0)
+                   for k in range(27))
+        w = rng.normal(size=(27, 3, 4))
+        run = conv_run(coords, feats, w, seeded(4), 3)
+        assert_same_bits(*split_and_whole(split_mode, run))
+
+    def test_lone_rows_of_a_segment(self, split_mode):
+        # two voxels: every offset's pairs split one row to each half
+        coords = np.array([[0, 0, 0, 0], [0, 1, 0, 0], [0, 5, 5, 5],
+                           [0, 6, 5, 5]])
+        rng = np.random.default_rng(1)
+        feats = rng.normal(size=(4, 8))
+        w = rng.normal(size=(27, 8, 16))
+        run = conv_run(coords, feats, w, seeded(16), 3)
+        assert_same_bits(*split_and_whole(split_mode, run))
+
+
+class TestTransposedConvHalves:
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    def test_split_equals_whole(self, split_mode, n):
+        rng = np.random.default_rng(n)
+        coords = sparse_coords(rng, n, 5) * 2
+        feats = rng.normal(size=(n, 6))
+        w = rng.normal(size=(8, 6, 7))
+
+        def run():
+            x = SparseTensor(coords, feats.copy(), stride=2)
+            wv = Var(w.copy())
+            tape = Tape()
+            y = sparse_transposed_conv(x, wv, 2, 2, tape)
+            tape.backward(y.fvar, seeded(7)(len(y.features)))
+            return [y.features, x.fvar.grad, wv.grad]
+
+        assert_same_bits(*split_and_whole(split_mode, run))
+
+
+class TestGemHalves:
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("reuse_map", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 1e60])
+    def test_items_out_of_order(self, split_mode, taped, reuse_map, scale):
+        # three items of 700, 40 and 300 rows, interleaved: several blocks
+        # each, and rows not in item order; 1e60 takes the per-item max
+        rng = np.random.default_rng(2)
+        batch = rng.permutation(np.repeat([0, 1, 2], [700, 40, 300]))
+        coords = np.column_stack([batch, np.arange(len(batch)),
+                                  np.zeros((len(batch), 2), dtype=int)])
+        feats = np.abs(rng.normal(size=(len(batch), 5))) * scale
+        run = gem_run(coords, feats, taped, reuse_map)
+        assert_same_bits(*split_and_whole(split_mode, run))
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_reused_map_in_item_order(self, split_mode, taped):
+        rng = np.random.default_rng(4)
+        batch = np.repeat([0, 1], [600, 300])
+        coords = np.column_stack([batch, np.arange(900),
+                                  np.zeros((900, 2), dtype=int)])
+        feats = np.abs(rng.normal(size=(900, 5)))
+        run = gem_run(coords, feats, taped, reuse_map=True)
+        assert_same_bits(*split_and_whole(split_mode, run))
+
+
+def gem_run(coords, feats, taped, reuse_map):
+    def run():
+        fmap = SparseTensor(coords, feats.copy())
+        p = Var(np.asarray(3.3))
+        tape = Tape() if taped else None
+        y, _ = gem_pool(fmap, p, tape, reuse_map=reuse_map)
+        if not taped:
+            return [y.value, fmap.features]
+        tape.backward(y, seeded(y.value.shape[1])(len(y.value)))
+        return [y.value, fmap.fvar.grad, p.grad]
+    return run
+
+
+class TestPool:
+    def test_worker_error_reaches_caller(self, split_mode):
+        split_mode.set(True)
+        done = []
+
+        def fn(lo, hi):
+            if lo > 0:
+                raise RuntimeError("worker half")
+            done.append((lo, hi))
+
+        with pytest.raises(RuntimeError, match="worker half"):
+            layers._split(fn, 10, 1.0)
+        assert done == [(0, 5)]
+        # the pool still runs both halves afterwards
+        layers._split(lambda lo, hi: done.append((lo, hi)), 10, 1.0)
+        assert sorted(done[1:]) == [(0, 5), (5, 10)]
+
+    def test_caller_error_waits_for_worker(self, split_mode):
+        split_mode.set(True)
+        done = []
+
+        def fn(lo, hi):
+            if lo == 0:
+                raise ValueError("caller half")
+            time.sleep(0.2)
+            done.append((lo, hi))
+
+        with pytest.raises(ValueError, match="caller half"):
+            layers._split(fn, 10, 1.0)
+        assert done == [(5, 10)]
+
+    def test_callers_on_many_threads_share_the_pool(self, split_mode):
+        rng = np.random.default_rng(6)
+        coords = sparse_coords(rng, 150, 8, batch=2)
+        feats = rng.normal(size=(len(coords), 3))
+        w = rng.normal(size=(27, 3, 4))
+        run = conv_run(coords, feats, w, seeded(4), 3)
+        split_mode.set(False)
+        want = run()
+        split_mode.set(True)
+        results, errors = [], []
+
+        def caller():
+            try:
+                for _ in range(5):
+                    results.append(run())
+            except Exception as exc:  # reported below, not lost in a thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(results) == 20
+        for got in results:
+            assert_same_bits(got, want)
+
+    def test_forked_child_embeds_with_its_own_pool(self, split_mode):
+        split_mode.set(True)
+        model = MinkLoc(ModelConfig(**TINY_CFG), seed=0)
+        cloud = PointCloud(np.random.default_rng(0).uniform(-1, 1, (300, 3)))
+        want = compute_descriptor(cloud, model).values
+        assert layers._pool is not None
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_embed_into, args=(queue, cloud, model))
+        child.start()
+        try:
+            got = queue.get(timeout=60)
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+        assert np.array_equal(got, want)
+
+
+def _embed_into(queue, cloud, model):
+    queue.put(compute_descriptor(cloud, model).values)
+
+
+def test_import_starts_no_thread():
+    src = os.path.dirname(os.path.dirname(sparseloc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, threading, sparseloc; print(threading.active_count(), "
+         "'concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["1", "False"]
