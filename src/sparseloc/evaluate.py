@@ -12,6 +12,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DatasetError, EmptyInput, FormatError, ShapeError
+from .layers import _split
 
 _DB_MAGIC = b"SLDESC1\n"
 SUCCESS_RADIUS = 25.0        # metres: PointNetVLAD's true-match radius
@@ -223,13 +224,25 @@ def _screen_block(db: DescriptorDatabase, desc: np.ndarray,
 
 def _first_hits(queries: DescriptorDatabase, db: DescriptorDatabase,
                 radius: float) -> np.ndarray:
-    """Each query's first-hit rank, screening _BLOCK queries at a time."""
+    """Each query's first-hit rank, screening _BLOCK queries at a time.
+
+    A large pairing screens its queries as two halves on two threads
+    (``layers._split``), each half in blocks of its own.  The ranks do not
+    depend on where the blocks are cut: a query's rank comes from its own
+    row of the screen, whose bound holds however that row was rounded,
+    and from exact distances of that query alone.
+    """
     first = np.empty(len(queries), dtype=np.int64)
-    for start in range(0, len(queries), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        first[block] = _screen_block(db, queries.descriptors[block],
-                                     queries.northing[block],
-                                     queries.easting[block], radius)
+
+    def rows(lo: int, hi: int):
+        for start in range(lo, hi, _BLOCK):
+            block = slice(start, min(start + _BLOCK, hi))
+            first[block] = _screen_block(db, queries.descriptors[block],
+                                         queries.northing[block],
+                                         queries.easting[block], radius)
+
+    # one block's GEMM multiply-adds
+    _split(rows, len(queries), min(_BLOCK, len(queries)) * len(db) * db.dim)
     return first
 
 
@@ -238,7 +251,9 @@ def recall_curve(queries: DescriptorDatabase, db: DescriptorDatabase,
                  success_radius: float = SUCCESS_RADIUS) -> np.ndarray:
     """recall_at_n for n = 1..max_n, n clamped to len(db).  Each query is
     screened once, in blocks (see ``_screen_block``); the ranks of its first
-    hit (len(db) for none) are counted into one cumulative histogram."""
+    hit (len(db) for none) are counted into one cumulative histogram.  The
+    ranks are exact, so the curve does not depend on how ``_first_hits``
+    cuts the queries into blocks or halves."""
     if not success_radius >= 0:
         raise ValueError("success_radius must be at least 0, "
                          f"got {success_radius}")

@@ -20,13 +20,15 @@ from .sparse import (SparseTensor, build_kernel_map, downsample_coords,
                      kernel_offsets, offset_key_delta)
 
 
-# Least multiply-adds per offset for which an op runs as two halves.  Each
-# offset's numpy steps hold the GIL for a few microseconds, so the halves
-# gain only where the GEMMs between those steps are long.  On a 2-core
-# Xeon with one BLAS thread, split against whole: eval convs at 0.5 M per
-# offset ran 2.2-2.9x slower, at 1.8-2.2 M 1.1-1.2x slower, at 2.6 M 1.07x
-# faster and at 4.2-4.8 M 1.4x faster; a train-size stride-2 conv at 2.1 M
-# ran 1.2x slower forward, and one at 4.1 M 1.25x faster.
+# Least multiply-adds per unit (a kernel offset, or a block of recall
+# queries) for which an op runs as two halves.  Each unit's numpy steps hold
+# the GIL for a few microseconds, so the halves gain only where the GEMMs
+# between those steps are long.  On a 2-core Xeon with one BLAS thread,
+# split against whole: eval convs at 0.5 M per offset ran 2.2-2.9x slower,
+# at 1.8-2.2 M 1.1-1.2x slower, at 2.6 M 1.07x faster and at 4.2-4.8 M 1.4x
+# faster; a train-size stride-2 conv at 2.1 M ran 1.2x slower forward, and
+# one at 4.1 M 1.25x faster; the recall screen at 6.5 M per block ran
+# 1.23-1.36x faster.
 _SPLIT_WORK = 2_500_000
 
 _pool = None
@@ -43,12 +45,41 @@ def _forget_pool():
 os.register_at_fork(after_in_child=_forget_pool)
 
 
+# numpy's OpenBLAS thread-count calls, by the names its builds export
+_BLAS_THREAD_CALLS = ("scipy_openblas_{}_num_threads64_",
+                      "scipy_openblas_{}_num_threads",
+                      "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+def _blas_threads(count: int | None = None) -> int | None:
+    """The BLAS thread count in effect in numpy's OpenBLAS, set to ``count``
+    first when given.  None, with nothing set, when numpy's core library
+    exports none of ``_BLAS_THREAD_CALLS`` (another BLAS)."""
+    import ctypes
+    try:
+        core = getattr(np, "_core", None) or np.core
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in _BLAS_THREAD_CALLS:
+        get = getattr(lib, name.format("get"), None)
+        put = getattr(lib, name.format("set"), None)
+        if get and put:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            if count is not None:
+                put(count)
+            return get()
+    return None
+
+
 def _split(fn, n: int, work: float):
     """Call ``fn(lo, hi)`` so that it covers ``range(n)`` once.
 
     With two CPUs in this process's affinity and ``work`` multiply-adds
-    per offset of at least ``_SPLIT_WORK``, ``fn(n // 2, n)`` runs on a
-    pooled worker thread while ``fn(0, n // 2)`` runs here; otherwise
+    per unit (offset or query block) of at least ``_SPLIT_WORK``,
+    ``fn(n // 2, n)`` runs on a pooled worker thread, under the caller's
+    numpy error state, while ``fn(0, n // 2)`` runs here; otherwise
     ``fn(0, n)`` runs here.  Either way it returns once all of ``range(n)``
     is done and raises what a half raised.  A half only calls numpy, which
     releases the GIL in BLAS calls, ``np.take`` and large ufunc loops, and
@@ -64,7 +95,8 @@ def _split(fn, n: int, work: float):
             from concurrent.futures import ThreadPoolExecutor
             _pool = ThreadPoolExecutor(max_workers=1,
                                        thread_name_prefix="sparseloc")
-        second = _pool.submit(fn, n // 2, n)
+        second = _pool.submit(_under_errstate, np.geterr(), np.geterrcall(),
+                              fn, n // 2, n)
     try:
         fn(0, n // 2)
     finally:
@@ -72,6 +104,12 @@ def _split(fn, n: int, work: float):
         # this half raised, whose error then wins over the worker's
         second.exception()
     second.result()
+
+
+def _under_errstate(err: dict, call, fn, lo: int, hi: int):
+    # numpy's error state is per thread: the worker takes the caller's
+    with np.errstate(call=call, **err):
+        fn(lo, hi)
 
 
 def _both(first, second, work: float):

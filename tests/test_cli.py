@@ -857,16 +857,41 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def test_blas_runs_one_thread_unless_set(preset, want):
     # a fresh interpreter, so the package loads before numpy, as the
     # console script loads it
+    got = run_python("import os, sparseloc; "
+                     "print(os.environ.get('OPENBLAS_NUM_THREADS'))", preset)
+    assert got.strip() == want
+
+
+def run_python(code: str, preset: dict) -> str:
+    """Stdout of ``code`` in a fresh interpreter that imports the package
+    from ``src/``, with ``preset`` as its only BLAS thread variables."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env.update(preset)
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    got = subprocess.run(
-        [sys.executable, "-c", "import os, sparseloc; "
-         "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert got.stdout.strip() == want
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120).stdout
+
+
+@pytest.mark.parametrize("preset, want", [({}, "1"),
+                                          ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+def test_numpy_imported_first_gets_the_package_default(preset, want):
+    # numpy has loaded OpenBLAS before the package sets the variable, so
+    # the package sets the count in effect itself, unless one is preset
+    threads, variable = run_python(
+        "import os, numpy, sparseloc; "
+        "from sparseloc.layers import _blas_threads; "
+        "print(_blas_threads(), os.environ.get('OPENBLAS_NUM_THREADS'))",
+        preset).split()
+    if threads == "None":
+        pytest.skip("numpy's BLAS exports no known thread-count call")
+    if want == "2" and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS runs at most one thread per CPU")
+    assert threads == want
+    # the variable is written only where it can still take effect
+    assert variable == preset.get("OPENBLAS_NUM_THREADS", "None")
 
 
 def test_suite_blas_reads_the_package_default():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,9 +15,10 @@ import pytest
 import sparseloc
 from sparseloc import (MinkLoc, ModelConfig, PointCloud, SparseTensor, Tape,
                        Var, build_kernel_map, compute_descriptor, gem_pool,
-                       sparse_conv, sparse_transposed_conv)
-from sparseloc import layers
+                       recall_curve, sparse_conv, sparse_transposed_conv)
+from sparseloc import evaluate, layers
 from conftest import TINY_CFG
+from test_eval import clustered_pairing, ranked_first_hits, rescaled
 
 
 @pytest.fixture
@@ -184,6 +186,65 @@ def gem_run(coords, feats, taped, reuse_map):
     return run
 
 
+class TestRecallHalves:
+    """The recall screen's two halves of the queries give the same ranks."""
+
+    @staticmethod
+    def assert_split_equals_whole(split_mode, q, db):
+        def run():
+            return [evaluate._first_hits(q, db, 25.0),
+                    recall_curve(q, db, len(db))]
+
+        split_mode.set(False)
+        whole = run()
+        split_mode.set(True)
+        split = run()
+        # one _first_hits per run(); a single query is never halved
+        assert split_mode.splits() == (2 if len(q) > 1 else 0)
+        assert_same_bits(split, whole)
+        assert np.array_equal(split[0], ranked_first_hits(q, db))
+        return split[0]
+
+    @pytest.mark.parametrize("n_q", [1, 2, 65, 129, 400])
+    def test_split_equals_whole(self, split_mode, n_q):
+        q, db = clustered_pairing(9, n_places=400, n_queries=n_q)
+        self.assert_split_equals_whole(split_mode, q, db)
+
+    def test_query_without_hit(self, split_mode):
+        q, db = clustered_pairing(7, n_places=130)
+        q.northing[[3, 100]] = 1e6        # one in each half
+        first = self.assert_split_equals_whole(split_mode, q, db)
+        assert first[3] == first[100] == len(db)
+
+    def test_overflowing_squares(self, split_mode):
+        # the screen cannot bound these: each block falls back to _ranking,
+        # whose squares overflow in both halves, silently as the caller asks
+        q, db = clustered_pairing(4, n_places=100)
+        q, db = (rescaled(x, lambda d: 1e160 * d) for x in (q, db))
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isinf(db.sq_norms).all()
+            self.assert_split_equals_whole(split_mode, q, db)
+
+    @pytest.mark.parametrize("n_q", [2, 65, 129, 200])
+    def test_every_query_screened_once(self, split_mode, monkeypatch, n_q):
+        q, db = clustered_pairing(6, n_places=200, n_queries=n_q)
+        seen, screen = [], evaluate._screen_block
+
+        def counting(db, desc, north, *rest):
+            seen.append(north.copy())
+            return screen(db, desc, north, *rest)
+
+        monkeypatch.setattr(evaluate, "_screen_block", counting)
+        split_mode.set(True)
+        evaluate._first_hits(q, db, 25.0)
+        assert split_mode.splits() == 1
+        assert all(0 < len(north) <= evaluate._BLOCK for north in seen)
+        # the northings are distinct, so they name the queries
+        assert np.array_equal(np.sort(np.concatenate(seen)),
+                              np.sort(q.northing))
+
+
 class TestPool:
     def test_worker_error_reaches_caller(self, split_mode):
         split_mode.set(True)
@@ -214,6 +275,24 @@ class TestPool:
         with pytest.raises(ValueError, match="caller half"):
             layers._split(fn, 10, 1.0)
         assert done == [(5, 10)]
+
+    @pytest.mark.parametrize("worker", [False, True])
+    def test_halves_keep_the_callers_error_state(self, split_mode, worker):
+        # numpy's error state is per thread: the worker's half must take the
+        # caller's, whichever half overflows
+        split_mode.set(True)
+        big = np.full(10, 1e300)
+
+        def fn(lo, hi):
+            if (lo > 0) == worker:
+                np.multiply(big[lo:hi], big[lo:hi])
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            layers._split(fn, 10, 1.0)
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            layers._split(fn, 10, 1.0)
+        assert split_mode.splits() == 2
 
     def test_callers_on_many_threads_share_the_pool(self, split_mode):
         rng = np.random.default_rng(6)
