@@ -255,21 +255,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_OK
-    except (FormatError, DatasetError, EmptyInput, ShapeError, OSError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except SparselocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # one "warning: <message>" line each, not Python's file:line format
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *rest: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except SystemExit as exc:
+            return exc.code if exc.code is not None else EXIT_OK
+        except (FormatError, DatasetError, EmptyInput, ShapeError, OSError,
+                ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except NumericError as exc:
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except SparselocError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -20,15 +20,17 @@ from .sparse import (SparseTensor, build_kernel_map, downsample_coords,
                      kernel_offsets, offset_key_delta)
 
 
-# Least multiply-adds per unit (a kernel offset, or a block of recall
-# queries) for which an op runs as two halves.  Each unit's numpy steps hold
-# the GIL for a few microseconds, so the halves gain only where the GEMMs
-# between those steps are long.  On a 2-core Xeon with one BLAS thread,
-# split against whole: eval convs at 0.5 M per offset ran 2.2-2.9x slower,
-# at 1.8-2.2 M 1.1-1.2x slower, at 2.6 M 1.07x faster and at 4.2-4.8 M 1.4x
-# faster; a train-size stride-2 conv at 2.1 M ran 1.2x slower forward, and
-# one at 4.1 M 1.25x faster; the recall screen at 6.5 M per block ran
-# 1.23-1.36x faster.
+# Least multiply-adds per unit for which an op runs as two halves.  A unit
+# is a kernel offset, a block of recall queries, or a quarter of one half
+# of a conv forward cut by offsets (so such a half splits from 10 M).  Each
+# unit's numpy steps hold the GIL for a few microseconds, so the halves gain
+# only where the GEMMs between those steps are long.  On a 2-core Xeon with
+# one BLAS thread, split against whole: conv forwards cut by offsets, at
+# 4-7.4 M per half (eval stride 2 and strided) ran 0.9-1.2x the whole time,
+# at 8.4-17 M (train batch, strides 1 and 2) 0.63-0.71x, at 25-35 M (eval
+# stride 8) 0.70-0.91x and at 57-169 M 0.49-0.80x; cut by rows, eval convs
+# at 0.5 M per offset ran 2.2-2.9x slower and at 4.2-4.8 M 1.4x faster; the
+# recall screen at 6.5 M per block ran 1.23-1.36x faster.
 _SPLIT_WORK = 2_500_000
 
 _pool = None
@@ -117,20 +119,10 @@ def _both(first, second, work: float):
     _split(lambda lo, hi: [job() for job in (first, second)[lo:hi]], 2, work)
 
 
-def _rows_of(rows: np.ndarray, lo: int, hi: int, n: int):
-    """Index of the entries of ``rows`` in ``[lo, hi)`` out of ``range(n)``:
-    a slice when they ascend, as in the kernel maps of key-ordered voxels,
-    else a mask."""
-    if lo == 0 and hi == n:
-        return slice(None)
-    if np.all(rows[1:] > rows[:-1]):
-        return slice(*np.searchsorted(rows, [lo, hi]))
-    return (rows >= lo) & (rows < hi)
-
-
 def _matmul_rows(a: np.ndarray, b: np.ndarray, n: int, out: np.ndarray):
     """``out = a @ b`` where ``a`` holds some of the ``n`` rows of a left
-    operand, each output row bit for bit as in the whole product.
+    operand, each output row bit for bit as in the whole product: the row
+    cut of the 1x1 conv and of the transposed conv's forward.
 
     gemm computes each row of a plain product from that row alone, but
     numpy hands a one-row product to gemv, which rounds differently: a lone
@@ -153,6 +145,31 @@ def _scatter_add(dst: np.ndarray, rows: np.ndarray, src: np.ndarray):
     dst.view(record).reshape(-1)[rows] = tmp.view(record).reshape(-1)
 
 
+def _offset_halves(f, w, centre, segments, n_out: int):
+    """Conv forward as two partial sums over offsets, each in offset order
+    and added at the end, also on one thread.  The first opens with the
+    centre GEMM; the cut falls where the map's pairs halve."""
+    terms = ([] if centre is None else [(centre, None, None)]) + segments
+    sizes = np.cumsum([n_out if ri is None else len(ri) for _, ri, _ in terms])
+    cut = 1 + int(np.abs(sizes - sizes[-1] / 2).argmin())
+    rest = np.zeros((n_out, w.shape[2]))
+    out = np.zeros_like(rest) if centre is None else np.empty_like(rest)
+
+    def add(half, dst):
+        for k, ri, ro in half:
+            if ri is None:
+                np.matmul(f, w[k], out=dst)
+            else:
+                # rows are unique within one offset: each is stored once
+                _scatter_add(dst, ro, np.take(f, ri, axis=0) @ w[k])
+
+    # the work of a half, in quarters: see _SPLIT_WORK
+    _both(lambda: add(terms[:cut], out), lambda: add(terms[cut:], rest),
+          sizes[-1] * w.shape[1] * w.shape[2] / 8)
+    out += rest
+    return out
+
+
 def _check_channels(x: SparseTensor, c_in: int):
     if x.channels != c_in:
         raise ShapeError(f"expected {c_in} input channels, got {x.channels}")
@@ -164,6 +181,15 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
 
     weight has shape (n_offsets, c_in, c_out).  stride > 1 needs an even
     kernel_size == stride and takes the downsample's lattice and kernel map.
+
+    With more than one offset the forward is two partial sums over offsets
+    (:func:`_offset_halves`), which run on two threads from 10 M
+    multiply-adds per half: on a 4096-point cloud the 3x3x3 convs at
+    strides 4 and 8; in a batch of 32 clouds of 512 points every conv but
+    the stem and the first downsampling conv.  The bits do not depend on
+    the thread count.  Against a forward that summed every offset into one
+    buffer, descriptors of 4096-point clouds moved by at most 8e-16
+    relative.  A 1x1 conv cuts its one GEMM by rows instead.
     """
     w = weight.value
     n_off, c_in, c_out = w.shape
@@ -187,22 +213,12 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
                     for k in range(n_off) if k != centre and b[k] < b[k + 1]]
         pairs = kmap.pair_count()
     work = pairs / n_off * c_in * c_out
-    out = np.zeros((n_out, c_out)) if centre is None else np.empty((n_out, c_out))
-
-    def out_rows(lo, hi):
-        """Output rows lo:hi, each summed in offset order."""
-        if centre is not None:
-            _matmul_rows(f[lo:hi], w[centre], n_out, out[lo:hi])
-        for k, ri, ro in segments:
-            # rows are unique within one offset: each is stored once
-            s = _rows_of(ro, lo, hi, n_out)
-            part = np.take(f, ri[s], axis=0)
-            if len(part):
-                prod = np.empty((len(part), c_out))
-                _matmul_rows(part, w[k], len(ri), prod)
-                _scatter_add(out, ro[s], prod)
-
-    _split(out_rows, n_out, work)
+    if n_off == 1:
+        out = np.empty((n_out, c_out))
+        _split(lambda lo, hi: _matmul_rows(f[lo:hi], w[0], n_out, out[lo:hi]),
+               n_out, work)
+    else:
+        out = _offset_halves(f, w, centre, segments, n_out)
     yvar = Var(out)
     if tape is not None:
         gwt, gxv = weight.acc, x.fvar.acc

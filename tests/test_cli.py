@@ -638,19 +638,46 @@ class TestQueryCloudErrors:
     @pytest.mark.parametrize("bad", [np.nan, 5000.0])
     def test_unusable_coordinate_is_2(self, query, capsys, bad):
         # NaN fails PointCloud validation; 5000 overflows the coordinate key
+        # after load_cloud's range warning, which main prints as a line
         capsys.readouterr()
         _, code = query([[0.1, 0.2, 0.3], [bad, 0.0, 0.0]])
         assert code == cli.EXIT_DATA
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert lines[-1].startswith("error: ")
+        assert all(line.startswith("warning: ") for line in lines[:-1])
 
-    def test_out_of_range_cloud_warns_once(self, query, capsys, recwarn):
+    def test_out_of_range_cloud_warns_once(self, query, capsys):
+        capsys.readouterr()
         cloud, code = query([[0.1, 0.2, 0.3], [1.5, 0.0, 0.0]])
         assert code == cli.EXIT_OK
-        assert len(recwarn) == 1
-        assert cloud in str(recwarn[0].message)
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: ") and cloud in lines[0]
+
+    @pytest.mark.parametrize("bad, want", [(1.5, cli.EXIT_OK),
+                                           (5000.0, cli.EXIT_DATA)])
+    def test_stderr_lines_in_a_fresh_interpreter(self, query, pipeline,
+                                                 tmp_path, bad, want):
+        # no test harness between the warning and stderr here; the query
+        # fixture has written the database
+        cloud = str(tmp_path / "scan.bin")
+        write_cloud(cloud, np.array([[0.1, 0.2, 0.3], [bad, 0.0, 0.0]]))
+        argv = ["query", "--checkpoint", pipeline["ckpt"],
+                "--db", str(pipeline["base"] / "qe.db"), "--cloud", cloud,
+                "-k", "2"]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(cli.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from sparseloc import cli; "
+             "sys.exit(cli.main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == want
+        lines = done.stderr.splitlines()
+        assert lines and all(line.startswith(("warning: ", "error: "))
+                             for line in lines)
+        assert "coordinates outside [-1, 1]" in lines[0]
 
 
 class TestEvalDatabaseErrors:

@@ -21,6 +21,9 @@ from conftest import TINY_CFG
 from test_eval import clustered_pairing, ranked_first_hits, rescaled
 
 
+SPLIT_WORK = layers._SPLIT_WORK
+
+
 @pytest.fixture
 def split_mode(monkeypatch):
     """``set(split)`` makes every op run as two concurrent halves (also on a
@@ -107,8 +110,8 @@ class TestConvHalves:
         coords = sparse_coords(rng, 150, 7, batch=2)
         feats = rng.normal(size=(len(coords), 3))
         x = SparseTensor(coords, feats)
-        # mirrored offsets of unordered voxels do not ascend: the halves
-        # must find their rows without assuming order
+        # mirrored offsets of unordered voxels do not ascend: each half
+        # scatters into output rows in whatever order its offsets hold them
         kmap = build_kernel_map(x, x.coords, 3)
         b = kmap.bounds
         assert any(np.any(np.diff(kmap.rows_out[b[k]:b[k + 1]]) < 0)
@@ -118,7 +121,8 @@ class TestConvHalves:
         assert_same_bits(*split_and_whole(split_mode, run))
 
     def test_lone_rows_of_a_segment(self, split_mode):
-        # two voxels: every offset's pairs split one row to each half
+        # two pairs of neighbours: only the two x offsets have pairs, two
+        # rows each, and the cut puts the centre alone in the first half
         coords = np.array([[0, 0, 0, 0], [0, 1, 0, 0], [0, 5, 5, 5],
                            [0, 6, 5, 5]])
         rng = np.random.default_rng(1)
@@ -126,6 +130,37 @@ class TestConvHalves:
         w = rng.normal(size=(27, 8, 16))
         run = conv_run(coords, feats, w, seeded(16), 3)
         assert_same_bits(*split_and_whole(split_mode, run))
+
+    @pytest.mark.parametrize("coords,kernel_size,stride", [
+        # every voxel even: the strided map's only segment is offset 0
+        ([[0, 0, 0, 0], [0, 2, 0, 0], [0, 2, 4, 6], [1, 0, 2, 2]], 2, 2),
+        # isolated voxels: only the centre has pairs, the second half none
+        ([[0, 0, 0, 0], [0, 3, 0, 0], [0, 3, 3, 3], [1, 0, 0, 0]], 3, 1)])
+    def test_one_segment(self, split_mode, coords, kernel_size, stride):
+        rng = np.random.default_rng(7)
+        feats = rng.normal(size=(4, 5))
+        w = rng.normal(size=(kernel_size ** 3, 5, 6))
+        run = conv_run(np.array(coords), feats, w, seeded(6), kernel_size,
+                       stride)
+        assert_same_bits(*split_and_whole(split_mode, run))
+
+
+def test_descriptor_bits_do_not_depend_on_cpus(split_mode, monkeypatch):
+    # on two CPUs the default rule splits this cloud's stride-8 convs,
+    # among other ops; on one it splits none
+    model = MinkLoc(ModelConfig(), seed=0)
+    cloud = PointCloud(np.random.default_rng(8).uniform(-1, 1, (2048, 3)))
+    split_mode.set(True)
+    forced = compute_descriptor(cloud, model).values
+    monkeypatch.setattr(layers, "_SPLIT_WORK", SPLIT_WORK)
+    splits = split_mode.splits()
+    two = compute_descriptor(cloud, model).values
+    assert split_mode.splits() > splits
+    splits = split_mode.splits()
+    monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: {0})
+    one = compute_descriptor(cloud, model).values
+    assert split_mode.splits() == splits
+    assert np.array_equal(forced, two) and np.array_equal(two, one)
 
 
 class TestTransposedConvHalves:
