@@ -67,7 +67,7 @@ class DescriptorDatabase:
         return self.descriptors.shape[1]
 
 
-_BLOCK = 64                  # queries per GEMM screen
+_BLOCK = 128                 # most queries per GEMM screen
 _U = 2.0 ** -53              # unit roundoff of float64
 _ETA = 2.0 ** -1074          # smallest subnormal float64
 _SQUARE_LIMIT = np.finfo(np.float64).max / 8
@@ -76,8 +76,11 @@ _SQUARE_LIMIT = np.finfo(np.float64).max / 8
 def _distances(descriptors: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Row-wise ``norm(descriptors - q)``: the distance every rank is
     decided on.  Each row's value depends only on that row, so rows
-    gathered from a C-contiguous database give the same bits."""
-    return np.linalg.norm(descriptors - q, axis=1)
+    gathered from a C-contiguous database give the same bits.  The squares
+    and their sum are ``np.linalg.norm``'s, with the squares in place."""
+    diff = descriptors - q
+    diff *= diff
+    return np.sqrt(np.add.reduce(diff, axis=1))
 
 
 def _ranking(db: DescriptorDatabase, q: np.ndarray):
@@ -162,7 +165,8 @@ def _intervals(descriptors: np.ndarray, sq_db: np.ndarray, desc: np.ndarray,
     band = both
     band *= 5 * (dim + 2) * _U
     band += 9 * dim * _ETA
-    hi = np.sqrt(s + band)
+    hi = np.add(s, band)
+    np.sqrt(hi, out=hi)
     hi *= 1 + 4 * _U
     lo = np.subtract(s, band, out=s)
     np.maximum(lo, 0.0, out=lo)
@@ -185,8 +189,15 @@ def _screen_block(db: DescriptorDatabase, desc: np.ndarray,
     hi over hits.  Its rank counts the rows with hi < its e, plus the rows
     whose [lo, hi] holds its e that precede it under (e, id).
     """
-    hit = np.sqrt((db.northing - north[:, None]) ** 2
-                  + (db.easting - east[:, None]) ** 2) <= radius
+    # the geo mask and the band tests in reused (queries, rows) buffers
+    geo = np.subtract(db.northing, north[:, None])
+    np.square(geo, out=geo)
+    across = np.subtract(db.easting, east[:, None])
+    np.square(across, out=across)
+    geo += across
+    np.sqrt(geo, out=geo)
+    hit = geo <= radius
+    del geo, across
     first = np.full(len(desc), len(db))
     bounds = _intervals(db.descriptors, db.sq_norms, desc,
                         np.einsum("ij,ij->i", desc, desc))
@@ -198,10 +209,13 @@ def _screen_block(db: DescriptorDatabase, desc: np.ndarray,
                 first[i] = hits[0]
         return first
     lo, hi = bounds
+    test = np.empty_like(hit)
 
     # the first hit, from the hits that could be it
-    nearest_hit = np.where(hit, hi, np.inf).min(axis=1)
-    qi, rows = np.nonzero(hit & (lo <= nearest_hit[:, None]))
+    nearest_hit = np.min(hi, axis=1, where=hit, initial=np.inf)
+    np.less_equal(lo, nearest_hit[:, None], out=test)
+    test &= hit
+    qi, rows = np.nonzero(test)
     e = _distances(db.descriptors[rows], desc[qi])
     order = np.lexsort((db.ids[rows], e, qi))
     found, lead = np.unique(qi[order], return_index=True)
@@ -212,8 +226,10 @@ def _screen_block(db: DescriptorDatabase, desc: np.ndarray,
     id_first[found] = db.ids[rows[lead]]
 
     # its rank: rows surely before it, plus those the band leaves open
-    rank = np.count_nonzero(hi < d_first[:, None], axis=1)
-    qi, rows = np.nonzero((lo <= d_first[:, None]) & (hi >= d_first[:, None]))
+    rank = np.count_nonzero(np.less(hi, d_first[:, None], out=test), axis=1)
+    np.less_equal(lo, d_first[:, None], out=test)
+    test &= np.greater_equal(hi, d_first[:, None], out=hit)
+    qi, rows = np.nonzero(test)
     e = _distances(db.descriptors[rows], desc[qi])
     ahead = (e < d_first[qi]) | ((e == d_first[qi])
                                  & (db.ids[rows] < id_first[qi]))
@@ -224,26 +240,41 @@ def _screen_block(db: DescriptorDatabase, desc: np.ndarray,
 
 def _first_hits(queries: DescriptorDatabase, db: DescriptorDatabase,
                 radius: float) -> np.ndarray:
-    """Each query's first-hit rank, screening _BLOCK queries at a time.
+    """Each query's first-hit rank, screened in blocks (``_screen_block``).
 
     A large pairing screens its queries as two halves on two threads
-    (``layers._split``), each half in blocks of its own.  The ranks do not
-    depend on where the blocks are cut: a query's rank comes from its own
-    row of the screen, whose bound holds however that row was rounded,
-    and from exact distances of that query alone.
+    (``layers._split``).  Each half, or the whole range when it does not
+    split, is cut into the fewest blocks of at most _BLOCK queries, of
+    sizes that differ by at most one: the 200 queries of a half of a
+    400-query pairing run as two blocks of 100, not 128 and 72.  The ranks
+    do not depend on where the blocks are cut: a query's rank comes from
+    its own row of the screen, whose bound holds however that row was
+    rounded, and from exact distances of that query alone.
     """
     first = np.empty(len(queries), dtype=np.int64)
 
     def rows(lo: int, hi: int):
-        for start in range(lo, hi, _BLOCK):
-            block = slice(start, min(start + _BLOCK, hi))
+        for block in _even_blocks(lo, hi):
             first[block] = _screen_block(db, queries.descriptors[block],
                                          queries.northing[block],
                                          queries.easting[block], radius)
 
-    # one block's GEMM multiply-adds
-    _split(rows, len(queries), min(_BLOCK, len(queries)) * len(db) * db.dim)
+    # the GEMM multiply-adds of a block of the larger half
+    half = len(queries) - len(queries) // 2
+    _split(rows, len(queries), -(-half // _block_count(half)) * len(db) * db.dim)
     return first
+
+
+def _block_count(n: int) -> int:
+    """The fewest blocks of at most _BLOCK queries that hold ``n``."""
+    return max(1, -(-n // _BLOCK))
+
+
+def _even_blocks(lo: int, hi: int):
+    """``range(lo, hi)`` as ``_block_count`` slices, sizes within one."""
+    count = _block_count(hi - lo)
+    cuts = [lo + (hi - lo) * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 def recall_curve(queries: DescriptorDatabase, db: DescriptorDatabase,

@@ -30,7 +30,9 @@ from .sparse import (SparseTensor, build_kernel_map, downsample_coords,
 # at 8.4-17 M (train batch, strides 1 and 2) 0.63-0.71x, at 25-35 M (eval
 # stride 8) 0.70-0.91x and at 57-169 M 0.49-0.80x; cut by rows, eval convs
 # at 0.5 M per offset ran 2.2-2.9x slower and at 4.2-4.8 M 1.4x faster; the
-# recall screen at 6.5 M per block ran 1.23-1.36x faster.
+# recall screen at 6.5 M per 64-query block ran 1.23-1.36x faster, and it
+# splits at 10.2 M per block (two blocks of 100 queries per half at
+# Q = N = 400, 256 dimensions).
 _SPLIT_WORK = 2_500_000
 
 _pool = None

@@ -290,7 +290,7 @@ def build_kernel_map(in_tensor: SparseTensor, out_coords: np.ndarray,
         q = out_keys + deltas[:, None]
         pos = np.minimum(np.searchsorted(skeys, q), len(skeys) - 1)
         hits = skeys[pos] == q
-    k, ro = np.nonzero(hits)
+    k, ro = np.divmod(np.flatnonzero(hits), hits.shape[1])
     ri = order[np.searchsorted(skeys, out_keys[ro] + deltas[k])]
     bounds = np.searchsorted(k, np.arange(n_search + 1))
     if mirror:

@@ -282,10 +282,13 @@ class Adam:
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient for {name}")
             g = g + self.weight_decay * var.value
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            mhat = self.m[name] / (1 - self.beta1 ** self.t)
-            vhat = self.v[name] / (1 - self.beta2 ** self.t)
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            mhat = m / (1 - self.beta1 ** self.t)
+            vhat = v / (1 - self.beta2 ** self.t)
             var.value = var.value - lr * mhat / (np.sqrt(vhat) + self.eps)
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sparseloc import (DescriptorDatabase, average_recall, cli,
                        knn, load_database, one_percent_cutoff, recall_at_n,
                        recall_curve, save_database)
-from sparseloc import evaluate
+from sparseloc import evaluate, layers
 from sparseloc.errors import DatasetError, EmptyInput, FormatError, ShapeError
 from sparseloc.evaluate import cross_run_pairings
 
@@ -351,9 +351,9 @@ class TestBlockScreen:
             assert np.isinf(np.sum(db.descriptors ** 2, axis=1)).all()
             self.assert_exact(q, db)
 
-    @pytest.mark.parametrize("n_q", [0, 63, 64, 65])
+    @pytest.mark.parametrize("n_q", [0, 63, 64, 65, 127, 128, 129, 400])
     def test_block_boundaries(self, n_q, monkeypatch):
-        q, db = clustered_pairing(6, n_places=80, n_queries=n_q)
+        q, db = clustered_pairing(6, n_places=max(80, n_q), n_queries=n_q)
         sizes, screen = [], evaluate._screen_block
 
         def counting(db, desc, *rest):
@@ -361,8 +361,13 @@ class TestBlockScreen:
             return screen(db, desc, *rest)
 
         monkeypatch.setattr(evaluate, "_screen_block", counting)
+        # the pairing runs whole: its queries are cut as one range
+        monkeypatch.setattr(layers, "_SPLIT_WORK", np.inf)
         self.assert_exact(q, db)
-        assert sizes == [64] * (n_q // 64) + [n_q % 64] * (n_q % 64 > 0)
+        assert len(sizes) == -(-n_q // 128)
+        assert sum(sizes) == n_q
+        assert all(0 < size <= 128 for size in sizes)
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
 
     def test_query_without_hit(self):
         q, db = clustered_pairing(7, n_places=100)

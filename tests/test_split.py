@@ -279,6 +279,36 @@ class TestRecallHalves:
         assert np.array_equal(np.sort(np.concatenate(seen)),
                               np.sort(q.northing))
 
+    @pytest.mark.parametrize("n_q", [3, 129, 257, 400])
+    def test_even_blocks_in_each_half(self, split_mode, monkeypatch, n_q):
+        q, db = clustered_pairing(6, n_places=n_q, n_queries=n_q)
+        blocks, screen = [], evaluate._screen_block
+
+        def counting(db, desc, north, *rest):
+            blocks.append(np.searchsorted(q.northing, north))
+            return screen(db, desc, north, *rest)
+
+        monkeypatch.setattr(evaluate, "_screen_block", counting)
+        split_mode.set(True)
+        evaluate._first_hits(q, db, 25.0)
+        assert split_mode.splits() == 1
+        for lo, hi in [(0, n_q // 2), (n_q // 2, n_q)]:
+            sizes = [len(b) for b in blocks if lo <= b[0] < hi]
+            # each block is a run of one half's queries
+            assert all(b[-1] < hi and np.array_equal(b, np.arange(b[0], b[-1] + 1))
+                       for b in blocks if lo <= b[0] < hi)
+            assert sum(sizes) == hi - lo
+            assert len(sizes) == -(-(hi - lo) // evaluate._BLOCK)
+            assert max(sizes) - min(sizes) <= 1
+
+    def test_small_pairing_runs_whole(self, split_mode):
+        # Q = N = 100 at 256 dimensions: one block of a half is below the
+        # split bound, as the benchmark's 20-place canary is
+        q, db = clustered_pairing(5, n_places=100)
+        assert db.dim == 256
+        evaluate._first_hits(q, db, 25.0)
+        assert split_mode.splits() == 0
+
 
 class TestPool:
     def test_worker_error_reaches_caller(self, split_mode):

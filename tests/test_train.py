@@ -352,6 +352,34 @@ class TestOptimizer:
         expect = 1.0 - 5 * 0.1 / (1.0 + 1e-8)
         assert abs(float(w.value) - expect) < 1e-12
 
+    def test_steps_match_the_written_expressions(self):
+        # the moments update in place; three steps give the bits of the
+        # expressions as written, the gradient is left as it was given
+        rng = np.random.default_rng(0)
+        shapes = {"w": (7, 5), "b": (5,), "s": ()}
+        params = {k: Var(rng.normal(size=s)) for k, s in shapes.items()}
+        value = {k: p.value.copy() for k, p in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        opt = Adam(params, weight_decay=1e-2)
+        b1, b2, eps, wd = 0.9, 0.999, 1e-8, 1e-2
+        for t, lr in enumerate([1e-3, 1e-3, 1e-4], start=1):
+            for k, p in params.items():
+                p.grad = rng.normal(size=shapes[k])
+            given = {k: p.grad.copy() for k, p in params.items()}
+            opt.step(lr)
+            for k, p in params.items():
+                g = given[k] + wd * value[k]
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g * g
+                mhat = m[k] / (1 - b1 ** t)
+                vhat = v[k] / (1 - b2 ** t)
+                value[k] = value[k] - lr * mhat / (np.sqrt(vhat) + eps)
+                assert np.array_equal(p.grad, given[k])
+                assert np.array_equal(opt.m[k], m[k])
+                assert np.array_equal(opt.v[k], v[k])
+                assert np.array_equal(p.value, value[k])
+
     def test_lr_schedule(self):
         cfg = TrainingConfig()  # lr 1e-3, step at epoch 30
         assert lr_for_epoch(cfg, 0) == 1e-3
