@@ -21,8 +21,9 @@ from .sparse import (SparseTensor, build_kernel_map, downsample_coords,
 
 
 # Least multiply-adds per unit for which an op runs as two halves.  A unit
-# is a kernel offset, a block of recall queries, or a quarter of one half
-# of a conv forward cut by offsets (so such a half splits from 10 M).  Each
+# is one offset's GEMM of a 1x1 or transposed conv, a block of recall
+# queries, or a quarter of one half of a pass over a kernel map's offsets
+# (so such a half splits from 10 M, in the forward's count).  Each
 # unit's numpy steps hold the GIL for a few microseconds, so the halves gain
 # only where the GEMMs between those steps are long.  On a 2-core Xeon with
 # one BLAS thread, split against whole: conv forwards cut by offsets, at
@@ -46,7 +47,8 @@ def _forget_pool():
     _pool, _pool_lock = None, threading.Lock()
 
 
-os.register_at_fork(after_in_child=_forget_pool)
+if hasattr(os, "register_at_fork"):  # not on Windows
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 # numpy's OpenBLAS thread-count calls, by the names its builds export
@@ -80,8 +82,8 @@ def _blas_threads(count: int | None = None) -> int | None:
 def _split(fn, n: int, work: float):
     """Call ``fn(lo, hi)`` so that it covers ``range(n)`` once.
 
-    With two CPUs in this process's affinity and ``work`` multiply-adds
-    per unit (offset or query block) of at least ``_SPLIT_WORK``,
+    With two CPUs in this process's affinity (the machine's off Linux) and
+    ``work`` multiply-adds per unit of at least ``_SPLIT_WORK``,
     ``fn(n // 2, n)`` runs on a pooled worker thread, under the caller's
     numpy error state, while ``fn(0, n // 2)`` runs here; otherwise
     ``fn(0, n)`` runs here.  Either way it returns once all of ``range(n)``
@@ -89,7 +91,9 @@ def _split(fn, n: int, work: float):
     releases the GIL in BLAS calls, ``np.take`` and large ufunc loops, and
     writes rows that the other half does not touch.
     """
-    if n < 2 or work < _SPLIT_WORK or len(os.sched_getaffinity(0)) < 2:
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if n < 2 or work < _SPLIT_WORK or cpus < 2:
         fn(0, n)
         return
     global _pool
@@ -124,7 +128,7 @@ def _both(first, second, work: float):
 def _matmul_rows(a: np.ndarray, b: np.ndarray, n: int, out: np.ndarray):
     """``out = a @ b`` where ``a`` holds some of the ``n`` rows of a left
     operand, each output row bit for bit as in the whole product: the row
-    cut of the 1x1 conv and of the transposed conv's forward.
+    cut of :func:`_dense_rows`.
 
     gemm computes each row of a plain product from that row alone, but
     numpy hands a one-row product to gemv, which rounds differently: a lone
@@ -147,137 +151,35 @@ def _scatter_add(dst: np.ndarray, rows: np.ndarray, src: np.ndarray):
     dst.view(record).reshape(-1)[rows] = tmp.view(record).reshape(-1)
 
 
-def _offset_halves(f, w, centre, segments, n_out: int):
-    """Conv forward as two partial sums over offsets, each in offset order
-    and added at the end, also on one thread.  The first opens with the
-    centre GEMM; the cut falls where the map's pairs halve."""
-    terms = ([] if centre is None else [(centre, None, None)]) + segments
-    sizes = np.cumsum([n_out if ri is None else len(ri) for _, ri, _ in terms])
+def _offset_halves(terms, n_rows: int, c: int, add, work: float):
+    """The one loop over a kernel map's offsets ``terms``, ``(k, ri, ro)``
+    or a first ``(centre, None, None)`` that ``add`` writes whole: the sum
+    of ``add(k, ri, ro, dst)`` into a new ``n_rows`` x ``c`` array, as two
+    partial sums in term order added at the end, also on one thread.  The
+    cut falls where the pairs halve (the centre counts ``n_rows``), so a
+    conv's forward and backward cut alike; at ``work`` multiply-adds per
+    pair, the halves run on two threads from 10 M each."""
+    sizes = np.cumsum([n_rows if ri is None else len(ri) for _, ri, _ in terms])
     cut = 1 + int(np.abs(sizes - sizes[-1] / 2).argmin())
-    rest = np.zeros((n_out, w.shape[2]))
-    out = np.zeros_like(rest) if centre is None else np.empty_like(rest)
-
-    def add(half, dst):
-        for k, ri, ro in half:
-            if ri is None:
-                np.matmul(f, w[k], out=dst)
-            else:
-                # rows are unique within one offset: each is stored once
-                _scatter_add(dst, ro, np.take(f, ri, axis=0) @ w[k])
-
+    rest = np.zeros((n_rows, c))
+    out = np.empty_like(rest) if terms[0][1] is None else np.zeros_like(rest)
     # the work of a half, in quarters: see _SPLIT_WORK
-    _both(lambda: add(terms[:cut], out), lambda: add(terms[cut:], rest),
-          sizes[-1] * w.shape[1] * w.shape[2] / 8)
+    _both(lambda: [add(*term, out) for term in terms[:cut]],
+          lambda: [add(*term, rest) for term in terms[cut:]],
+          sizes[-1] * work / 8)
     out += rest
     return out
 
 
-def _check_channels(x: SparseTensor, c_in: int):
-    if x.channels != c_in:
-        raise ShapeError(f"expected {c_in} input channels, got {x.channels}")
-
-
-def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
-                stride: int = 1, tape: Tape | None = None) -> SparseTensor:
-    """Gather-multiply-scatter convolution through a kernel map.
-
-    weight has shape (n_offsets, c_in, c_out).  stride > 1 needs an even
-    kernel_size == stride and takes the downsample's lattice and kernel map.
-
-    With more than one offset the forward is two partial sums over offsets
-    (:func:`_offset_halves`), which run on two threads from 10 M
-    multiply-adds per half: on a 4096-point cloud the 3x3x3 convs at
-    strides 4 and 8; in a batch of 32 clouds of 512 points every conv but
-    the stem and the first downsampling conv.  The bits do not depend on
-    the thread count.  Against a forward that summed every offset into one
-    buffer, descriptors of 4096-point clouds moved by at most 8e-16
-    relative.  A 1x1 conv cuts its one GEMM by rows instead.
-    """
+def _dense_rows(x: SparseTensor, weight: Var, tape: Tape | None) -> Var:
+    """Row ``i * n + k`` is ``f_i W_k`` for the ``n`` offsets of
+    ``weight``: the 1x1 conv (``n = 1``) and the transposed conv.  The
+    forward is cut by rows (:func:`_matmul_rows`), the backward runs
+    ``g Wᵀ`` and ``fᵀ g`` whole as the two calls of :func:`_both`."""
     w = weight.value
     n_off, c_in, c_out = w.shape
-    if stride > 1 and (kernel_size != stride or kernel_size % 2):
-        raise ShapeError(f"strided conv needs an even kernel_size == stride, "
-                         f"got {kernel_size} and {stride}")
-    if n_off != len(kernel_offsets(kernel_size)):
-        raise ShapeError("weight offset count does not match kernel size")
-    _check_channels(x, c_in)
     f = x.features
-    out_coords = x.coords if stride == 1 else downsample_coords(x, stride)[0]
-    n_out = len(out_coords)
-    # odd K at stride 1: the centre offset pairs every row with itself, so
-    # its term is one plain GEMM (and the whole conv when K == 1)
-    centre = n_off // 2 if stride == 1 and kernel_size % 2 else None
-    segments, pairs = [], n_out
-    if centre is None or n_off > 1:
-        kmap = build_kernel_map(x, out_coords, kernel_size)
-        b = kmap.bounds
-        segments = [(k, kmap.rows_in[b[k]:b[k + 1]], kmap.rows_out[b[k]:b[k + 1]])
-                    for k in range(n_off) if k != centre and b[k] < b[k + 1]]
-        pairs = kmap.pair_count()
-    work = pairs / n_off * c_in * c_out
-    if n_off == 1:
-        out = np.empty((n_out, c_out))
-        _split(lambda lo, hi: _matmul_rows(f[lo:hi], w[0], n_out, out[lo:hi]),
-               n_out, work)
-    else:
-        out = _offset_halves(f, w, centre, segments, n_out)
-    yvar = Var(out)
-    if tape is not None:
-        gwt, gxv = weight.acc, x.fvar.acc
-
-        def backward(g):
-            # one half the input gradient, the other the weight gradients:
-            # every product runs whole, so the bits do not depend on the split
-            gx = np.zeros_like(f) if centre is None else np.empty_like(f)
-            gw = np.zeros_like(w)
-
-            def input_grad():
-                if centre is not None:
-                    np.matmul(g, w[centre].T, out=gx)
-                for k, ri, ro in segments:
-                    _scatter_add(gx, ri, np.take(g, ro, axis=0) @ w[k].T)
-
-            def weight_grad():
-                if centre is not None:
-                    np.matmul(f.T, g, out=gw[centre])
-                for k, ri, ro in segments:
-                    np.matmul(np.take(f, ri, axis=0).T, np.take(g, ro, axis=0),
-                              out=gw[k])
-
-            _both(input_grad, weight_grad, work)
-            gwt.add(gw)
-            gxv.add(gx)
-
-        tape.record_for(yvar, backward)
-    return x.with_features(yvar, stride)
-
-
-def sparse_transposed_conv(x: SparseTensor, weight: Var, kernel_size: int = 2,
-                           stride: int = 2, tape: Tape | None = None) -> SparseTensor:
-    """Upsampling convolution: each input voxel expands to coord + d * out_stride.
-
-    Output stride is input stride / stride; the adjoint of ``sparse_conv``
-    with the per-offset weight matrices transposed.  Only ``kernel_size ==
-    stride`` is supported: every input voxel then owns its K^3 children, so
-    output row ``i * K^3 + k`` is input row ``i`` shifted by offset ``k`` and
-    the rows are distinct without any scatter or lookup table.
-    """
-    w = weight.value
-    n_off, c_in, c_out = w.shape
-    if kernel_size != stride:
-        raise ShapeError(f"transposed conv needs kernel_size == stride, "
-                         f"got {kernel_size} and {stride}")
-    if n_off != len(kernel_offsets(kernel_size)):
-        raise ShapeError("weight offset count does not match kernel size")
-    _check_channels(x, c_in)
-    if x.stride % stride:
-        raise StrideError(f"stride {x.stride} not divisible by {stride}")
-    out_stride = x.stride // stride
-    deltas = np.array([offset_key_delta(off, out_stride)
-                       for off in kernel_offsets(kernel_size)])
-    out_keys = (x.keys()[:, None] + deltas).reshape(-1)
-    f = x.features
-    # (c_in, K^3 * c_out): one GEMM yields every child of an input row
+    # (c_in, n * c_out): one GEMM yields every output row of an input row
     wbig = w.transpose(1, 0, 2).reshape(c_in, n_off * c_out)
     # written into an array of the output's shape, so the output owns it and
     # a consumer can hand it to Grad.add without a copy
@@ -296,11 +198,109 @@ def sparse_transposed_conv(x: SparseTensor, weight: Var, kernel_size: int = 2,
             _both(lambda: np.matmul(g, wbig.T, out=gx),
                   lambda: np.matmul(f.T, g, out=gw), work)
             gxv.add(gx)
-            gw = gw.reshape(c_in, n_off, c_out)
-            gwt.add(gw.transpose(1, 0, 2))
+            gwt.add(gw.reshape(c_in, n_off, c_out).transpose(1, 0, 2))
 
         tape.record_for(yvar, backward)
-    return SparseTensor.from_keys(out_keys, yvar, out_stride)
+    return yvar
+
+
+def _check_weight(x: SparseTensor, w: np.ndarray, kernel_size: int):
+    if len(w) != len(kernel_offsets(kernel_size)):
+        raise ShapeError("weight offset count does not match kernel size")
+    if x.channels != w.shape[1]:
+        raise ShapeError(f"expected {w.shape[1]} input channels, "
+                         f"got {x.channels}")
+
+
+def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
+                stride: int = 1, tape: Tape | None = None) -> SparseTensor:
+    """Gather-multiply-scatter convolution through a kernel map.
+
+    weight has shape (n_offsets, c_in, c_out).  stride > 1 needs an even
+    kernel_size == stride and takes the downsample's lattice and kernel map.
+
+    A 1x1 conv is one GEMM (:func:`_dense_rows`).  Otherwise both
+    directions are one pass over the map's offsets (:func:`_offset_halves`):
+    the forward adds ``f[ri] W_k`` into rows ``ro``; the backward is that
+    pass on ``g``, adding ``g[ro] W_kᵀ`` into rows ``ri`` and writing
+    ``∂W_k = f[ri]ᵀ g[ro]`` from the same gathered rows.  The bits do not
+    depend on the thread count.  Against sums in one buffer, descriptors of
+    4096-point clouds moved by at most 8e-16 relative, and a taped step's
+    gradients by 1e-14 of their largest entry (the stem's weight 4e-14).
+    """
+    w = weight.value
+    n_off, c_in, c_out = w.shape
+    if stride > 1 and (kernel_size != stride or kernel_size % 2):
+        raise ShapeError(f"strided conv needs an even kernel_size == stride, "
+                         f"got {kernel_size} and {stride}")
+    _check_weight(x, w, kernel_size)
+    if n_off == 1:
+        return x.with_features(_dense_rows(x, weight, tape))
+    f = x.features
+    out_coords = x.coords if stride == 1 else downsample_coords(x, stride)[0]
+    kmap = build_kernel_map(x, out_coords, kernel_size)
+    b = kmap.bounds
+    # odd K at stride 1: the centre pairs each row with itself, one GEMM
+    centre = n_off // 2 if stride == 1 and kernel_size % 2 else None
+    terms = [] if centre is None else [(centre, None, None)]
+    terms += [(k, kmap.rows_in[b[k]:b[k + 1]], kmap.rows_out[b[k]:b[k + 1]])
+              for k in range(n_off) if k != centre and b[k] < b[k + 1]]
+
+    def forward(k, ri, ro, dst):
+        if ri is None:
+            np.matmul(f, w[k], out=dst)
+        else:
+            # rows are unique within one offset: each is stored once
+            _scatter_add(dst, ro, np.take(f, ri, axis=0) @ w[k])
+
+    yvar = Var(_offset_halves(terms, len(out_coords), c_out, forward,
+                              c_in * c_out))
+    if tape is not None:
+        gwt, gxv = weight.acc, x.fvar.acc
+
+        def backward(g):
+            gw = np.zeros_like(w)
+
+            def transposed(k, ri, ro, dst):
+                if ri is None:
+                    np.matmul(g, w[k].T, out=dst)
+                    np.matmul(f.T, g, out=gw[k])
+                else:
+                    gr = np.take(g, ro, axis=0)
+                    _scatter_add(dst, ri, gr @ w[k].T)
+                    np.matmul(np.take(f, ri, axis=0).T, gr, out=gw[k])
+
+            gxv.add(_offset_halves(terms, len(f), c_in, transposed,
+                                   c_in * c_out))
+            gwt.add(gw)
+
+        tape.record_for(yvar, backward)
+    return x.with_features(yvar, stride)
+
+
+def sparse_transposed_conv(x: SparseTensor, weight: Var, kernel_size: int = 2,
+                           stride: int = 2, tape: Tape | None = None) -> SparseTensor:
+    """Upsampling convolution: each input voxel expands to coord + d * out_stride.
+
+    Output stride is input stride / stride; the adjoint of ``sparse_conv``
+    with the per-offset weight matrices transposed.  Only ``kernel_size ==
+    stride`` is supported: every input voxel then owns its K^3 children, so
+    output row ``i * K^3 + k`` is input row ``i`` shifted by offset ``k`` and
+    the rows are distinct without any scatter or lookup table
+    (:func:`_dense_rows`).
+    """
+    if kernel_size != stride:
+        raise ShapeError(f"transposed conv needs kernel_size == stride, "
+                         f"got {kernel_size} and {stride}")
+    _check_weight(x, weight.value, kernel_size)
+    if x.stride % stride:
+        raise StrideError(f"stride {x.stride} not divisible by {stride}")
+    out_stride = x.stride // stride
+    deltas = np.array([offset_key_delta(off, out_stride)
+                       for off in kernel_offsets(kernel_size)])
+    out_keys = (x.keys()[:, None] + deltas).reshape(-1)
+    return SparseTensor.from_keys(out_keys, _dense_rows(x, weight, tape),
+                                  out_stride)
 
 
 class BatchNorm:
@@ -407,7 +407,6 @@ class SparseConv:
 
     def __init__(self, c_in: int, c_out: int, kernel_size: int, stride: int = 1,
                  *, rng: np.random.Generator):
-        self.c_in, self.c_out = c_in, c_out
         self.kernel_size = kernel_size
         self.stride = stride
         n_off = len(kernel_offsets(kernel_size))

@@ -21,8 +21,8 @@ import numpy as np
 
 from .autodiff import Tape, Var
 from .errors import EmptyInput, FormatError, ShapeError
-from .layers import (BatchNorm, SparseConv, _split, relu, sparse_add,
-                     sparse_transposed_conv)
+from .layers import (BatchNorm, SparseConv, _scatter_add, _split, relu,
+                     sparse_add, sparse_transposed_conv)
 from .sparse import (KernelMap, PointCloud, SparseTensor, downsample_map,
                      quantize)
 
@@ -258,16 +258,16 @@ def _add_lateral(top: SparseTensor, lateral: SparseTensor, down: KernelMap,
     k = np.repeat(np.arange(len(down.offsets)), np.diff(down.bounds))
     rows[down.rows_in] = down.rows_out * len(down.offsets) + k
     ft, fl = top.features, lateral.features
-    # in slices, so the fancy-index add's temporaries stay small; the rows
-    # are distinct, so each slice adds exactly what one whole add would
+    # in slices, so the gathered rows stay small; the rows are distinct, so
+    # each slice adds exactly what one whole add would
     for i in range(0, len(rows), 256):
-        ft[rows[i:i + 256]] += fl[i:i + 256]
+        _scatter_add(ft, rows[i:i + 256], fl[i:i + 256])
     if tape is not None:
         # top keeps its Var, so the transposed conv receives the gradient as is
         glat = lateral.fvar.acc
 
         def backward(g):
-            glat.add(g[rows])
+            glat.add(np.take(g, rows, axis=0))
 
         tape.record_for(top.fvar, backward)
     return top

@@ -1,5 +1,7 @@
 """Layer semantics against independent dense / hand-worked oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,17 @@ def dense_conv3d_oracle(grid, w, side):
     return out
 
 
+def dense_conv_terms(side, kernel_size, stride):
+    """(output voxel, input voxel, offset) of every term of a zero-padded
+    dense conv on a side^3 grid: output voxel o, on the stride-``stride``
+    lattice, collects input o + offset through that offset's matrix."""
+    for k, d in enumerate(kernel_offsets(kernel_size)):
+        for o in itertools.product(range(0, side, stride), repeat=3):
+            i = tuple(int(c) for c in np.add(o, d))
+            if all(0 <= c < side for c in i):
+                yield o, i, k
+
+
 class TestSparseConv:
     def test_scalar_identity_kernel(self):
         x = SparseTensor(np.array([[0, 0, 0, 0]]), np.array([[3.0]]))
@@ -52,6 +65,32 @@ class TestSparseConv:
         for row, (_, cx, cy, cz) in zip(out.features, out.coords):
             got[cx, cy, cz] = row
         assert np.max(np.abs(got - expect)) < 1e-6
+
+    @pytest.mark.parametrize("kernel_size,stride", [(1, 1), (3, 1), (2, 2)])
+    def test_gradients_match_dense_oracle_on_full_grid(self, kernel_size,
+                                                       stride):
+        # for <conv(x), g>, the input gradient is the dense conv's adjoint
+        # on g and the weight gradient the correlation of x with g
+        rng = np.random.default_rng(kernel_size)
+        side, c_in, c_out = 4, 2, 3
+        x = full_grid_tensor(rng, side, c_in)
+        w = Var(rng.normal(size=(kernel_size ** 3, c_in, c_out)))
+        tape = Tape()
+        y = sparse_conv(x, w, kernel_size, stride, tape)
+        g = rng.normal(size=y.features.shape)
+        tape.backward(y.fvar, g)
+        row_in = {tuple(c[1:]): r for r, c in enumerate(x.coords.tolist())}
+        row_out = {tuple(c[1:]): r for r, c in enumerate(y.coords.tolist())}
+        assert len(row_out) == (side // stride) ** 3
+        f, wk = x.features, w.value
+        out, gx, gw = np.zeros_like(g), np.zeros_like(f), np.zeros_like(wk)
+        for o, i, k in dense_conv_terms(side, kernel_size, stride):
+            ro, ri = row_out[o], row_in[i]
+            out[ro] += f[ri] @ wk[k]
+            gx[ri] += g[ro] @ wk[k].T
+            gw[k] += np.outer(f[ri], g[ro])
+        for got, want in [(y.features, out), (x.fvar.grad, gx), (w.grad, gw)]:
+            assert np.max(np.abs(got - want)) < 1e-10
 
     def test_stride2_hand_case(self):
         # both inputs land on output (0,0,0): offsets (0,0,0) and (1,1,1)

@@ -145,6 +145,41 @@ class TestConvHalves:
         assert_same_bits(*split_and_whole(split_mode, run))
 
 
+@pytest.mark.parametrize("kernel_size,stride,c,split", [
+    (3, 1, 16, False), (3, 1, 64, True), (2, 2, 32, False), (2, 2, 160, True)])
+def test_backward_splits_when_forward_does(split_mode, kernel_size, stride, c,
+                                           split):
+    # one rule, at the default bound: the backward's pass over the kernel
+    # map cuts and splits as its forward does
+    rng = np.random.default_rng(c)
+    coords = sparse_coords(rng, 1000, 14)
+    x = SparseTensor(coords, rng.normal(size=(len(coords), c)))
+    tape = Tape()
+    y = sparse_conv(x, Var(rng.normal(size=(kernel_size ** 3, c, c))),
+                    kernel_size, stride, tape)
+    forward = split_mode.splits()
+    tape.backward(y.fvar, seeded(c)(len(y.features)))
+    assert forward == split_mode.splits() - forward == int(split)
+
+
+@pytest.mark.parametrize("cpus,split", [(2, True), (None, False)])
+def test_cpu_count_without_affinity(split_mode, monkeypatch, cpus, split):
+    # macOS and Windows have no sched_getaffinity: the machine's count
+    # decides, and an unknown count is one CPU
+    monkeypatch.delattr(layers.os, "sched_getaffinity")
+    monkeypatch.setattr(layers.os, "cpu_count", lambda: cpus)
+    rng = np.random.default_rng(2)
+    coords = sparse_coords(rng, 150, 8, batch=2)
+    feats = rng.normal(size=(len(coords), 3))
+    w = rng.normal(size=(27, 3, 4))
+    run = conv_run(coords, feats, w, seeded(4), 3)
+    split_mode.set(False)
+    whole = run()
+    split_mode.set(True)
+    assert_same_bits(run(), whole)
+    assert (split_mode.splits() > 0) == split
+
+
 def test_descriptor_bits_do_not_depend_on_cpus(split_mode, monkeypatch):
     # on two CPUs the default rule splits this cloud's stride-8 convs,
     # among other ops; on one it splits none
@@ -414,6 +449,15 @@ class TestPool:
 
 def _embed_into(queue, cloud, model):
     queue.put(compute_descriptor(cloud, model).values)
+
+
+def test_imports_without_fork_hooks():
+    # Windows has no os.register_at_fork
+    src = os.path.dirname(os.path.dirname(sparseloc.__file__))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import os; del os.register_at_fork; import sparseloc"],
+        env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
 
 
 def test_import_starts_no_thread():
