@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import os
 import sys
 import time
@@ -158,15 +159,16 @@ def cmd_eval(args) -> int:
     rows = [("AR@1", result["ar_at_1"]), ("AR@1%", result["ar_at_1pct"])]
     max_n = min(len(db) for db in db_runs)
     curve = np.mean([p["curve"][:max_n] for p in result["pairings"]], axis=0)
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["metric", "value"])
-        for name, val in rows:
-            w.writerow([name, f"{val:.4f}"])
-        w.writerow([])
-        w.writerow(["n", "recall"])
-        for n, r in enumerate(curve, 1):
-            w.writerow([n, f"{r:.4f}"])
+    text = io.StringIO()
+    w = csv.writer(text)
+    w.writerow(["metric", "value"])
+    for name, val in rows:
+        w.writerow([name, f"{val:.4f}"])
+    w.writerow([])
+    w.writerow(["n", "recall"])
+    for n, r in enumerate(curve, 1):
+        w.writerow([n, f"{r:.4f}"])
+    data_io.publish({args.out: [text.getvalue().encode()]})
     for name, val in rows:
         print(f"{name} = {val:.4f}")
     return EXIT_OK

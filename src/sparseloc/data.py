@@ -1,4 +1,5 @@
-"""Dataset loading, training-tuple generation, and synthetic datasets.
+"""Dataset loading, training-tuple generation, synthetic datasets, and
+``publish``, which writes a command's output files whole or not at all.
 
 On-disk formats:
   * point cloud file: flat binary of 64-bit little-endian floats, xyz
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import os
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +38,27 @@ class TrainingTuple:
     id: int
     positives: set = field(default_factory=set)
     non_negatives: set = field(default_factory=set)
+
+
+def publish(files: dict[str, list[bytes]]):
+    """Write each path of ``files`` as its byte chunks, concatenated.  A
+    directory at any path raises ``IsADirectoryError`` before anything is
+    written.  The chunks go to ``<path>.tmp`` and, once all are written,
+    ``os.replace`` moves each into place in the order given, so a failed
+    write leaves every path as it was; no ``.tmp`` is left behind."""
+    for path in files:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path}: is a directory")
+    try:
+        for path, chunks in files.items():
+            with open(f"{path}.tmp", "wb") as fh:
+                fh.writelines(chunks)
+        for path in files:
+            os.replace(f"{path}.tmp", path)
+    finally:
+        for path in files:
+            with suppress(FileNotFoundError):
+                os.remove(f"{path}.tmp")
 
 
 def load_cloud(path: str) -> np.ndarray:

@@ -6,11 +6,11 @@ import csv
 import os
 import struct
 import warnings
-from contextlib import suppress
 from itertools import chain
 
 import numpy as np
 
+from .data import publish
 from .errors import DatasetError, EmptyInput, FormatError, ShapeError
 from .layers import _split
 
@@ -357,33 +357,19 @@ _GEO = np.dtype([("id", "<i8"), ("northing", "<f8"), ("easting", "<f8")])
 
 
 def save_database(path: str, db: DescriptorDatabase):
-    """Write ``<path>`` and its sidecar.  Both go to temporary files first
-    and are published with ``os.replace``, sidecar first, so a write that
-    fails leaves a database already at ``path`` as it was."""
+    """Write ``<path>`` and its sidecar in one :func:`publish`, sidecar
+    first, so a write that fails leaves a database already at ``path`` as
+    it was."""
     with np.errstate(over="ignore"):
         payload = np.ascontiguousarray(db.descriptors, dtype="<f4")
     if not np.isfinite(payload).all():
         raise ValueError(f"{path}: a descriptor is not finite in float32")
-    sidecar = path + ".geo.csv"
-    for target in (path, sidecar):
-        if os.path.isdir(target):
-            raise IsADirectoryError(f"{target}: is a directory")
-    tmp, sidecar_tmp = f"{path}.tmp", f"{sidecar}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_DB_MAGIC)
-            fh.write(struct.pack("<II", db.dim, len(db)))
-            fh.write(payload.tobytes())
-        rows = zip(db.ids.tolist(), db.northing.tolist(), db.easting.tolist())
-        with open(sidecar_tmp, "w", newline="") as fh:
-            fh.write("id,northing,easting\r\n" + ("%d,%r,%r\r\n" * len(db))
-                     % tuple(chain.from_iterable(rows)))
-        os.replace(sidecar_tmp, sidecar)
-        os.replace(tmp, path)
-    finally:
-        for name in (tmp, sidecar_tmp):
-            with suppress(FileNotFoundError):
-                os.remove(name)
+    rows = zip(db.ids.tolist(), db.northing.tolist(), db.easting.tolist())
+    geo = ("id,northing,easting\r\n" + ("%d,%r,%r\r\n" * len(db))
+           % tuple(chain.from_iterable(rows)))
+    publish({path + ".geo.csv": [geo.encode()],
+             path: [_DB_MAGIC, struct.pack("<II", db.dim, len(db)),
+                    payload.tobytes()]})
 
 
 def _load_geo_tags(sidecar: str):

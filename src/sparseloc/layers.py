@@ -125,22 +125,6 @@ def _both(first, second, work: float):
     _split(lambda lo, hi: [job() for job in (first, second)[lo:hi]], 2, work)
 
 
-def _matmul_rows(a: np.ndarray, b: np.ndarray, n: int, out: np.ndarray):
-    """``out = a @ b`` where ``a`` holds some of the ``n`` rows of a left
-    operand, each output row bit for bit as in the whole product: the row
-    cut of :func:`_dense_rows`.
-
-    gemm computes each row of a plain product from that row alone, but
-    numpy hands a one-row product to gemv, which rounds differently: a lone
-    row of a larger product goes through gemm twice.  Products with a
-    transposed operand are never cut: OpenBLAS picks their kernel by size.
-    """
-    if len(a) == 1 < n:
-        out[:] = (np.concatenate([a, a]) @ b)[:1]
-    else:
-        np.matmul(a, b, out=out)
-
-
 def _scatter_add(dst: np.ndarray, rows: np.ndarray, src: np.ndarray):
     """``dst[rows] += src`` for distinct rows of a C-ordered ``dst``,
     through ``np.take`` and a store of whole rows as single records: numpy's
@@ -174,8 +158,8 @@ def _offset_halves(terms, n_rows: int, c: int, add, work: float):
 def _dense_rows(x: SparseTensor, weight: Var, tape: Tape | None) -> Var:
     """Row ``i * n + k`` is ``f_i W_k`` for the ``n`` offsets of
     ``weight``: the 1x1 conv (``n = 1``) and the transposed conv.  The
-    forward is cut by rows (:func:`_matmul_rows`), the backward runs
-    ``g Wᵀ`` and ``fᵀ g`` whole as the two calls of :func:`_both`."""
+    forward is cut by rows; the backward runs ``g Wᵀ`` and ``fᵀ g``, whose
+    kernel OpenBLAS picks by size, whole as the two calls of :func:`_both`."""
     w = weight.value
     n_off, c_in, c_out = w.shape
     f = x.features
@@ -186,8 +170,12 @@ def _dense_rows(x: SparseTensor, weight: Var, tape: Tape | None) -> Var:
     out = np.empty((len(f) * n_off, c_out))
     out2d = out.reshape(len(f), n_off * c_out)
     work = len(f) * c_in * c_out
-    _split(lambda lo, hi: _matmul_rows(f[lo:hi], wbig, len(f), out2d[lo:hi]),
-           len(f), work)
+    # numpy hands a one-row half to gemv, which rounds unlike gemm's rows
+    if len(f) < 4:
+        np.matmul(f, wbig, out=out2d)
+    else:
+        _split(lambda lo, hi: np.matmul(f[lo:hi], wbig, out=out2d[lo:hi]),
+               len(f), work)
     yvar = Var(out)
     if tape is not None:
         gwt, gxv = weight.acc, x.fvar.acc

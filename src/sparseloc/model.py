@@ -11,15 +11,14 @@ batch item.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import warnings
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tape, Var
+from .data import publish
 from .errors import EmptyInput, FormatError, ShapeError
 from .layers import (BatchNorm, SparseConv, _scatter_add, _split, relu,
                      sparse_add, sparse_transposed_conv)
@@ -471,20 +470,7 @@ def save_checkpoint(path: str, state: dict[str, np.ndarray]):
         blobs.append(blob)
         offset += len(blob)
     hdr = json.dumps(header).encode()
-    if os.path.isdir(path):
-        raise IsADirectoryError(f"{path}: is a directory")
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_CKPT_MAGIC)
-            fh.write(struct.pack("<I", len(hdr)))
-            fh.write(hdr)
-            for blob in blobs:
-                fh.write(blob)
-        os.replace(tmp, path)  # atomic publish
-    finally:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
+    publish({path: [_CKPT_MAGIC, struct.pack("<I", len(hdr)), hdr, *blobs]})
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:

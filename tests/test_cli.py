@@ -786,6 +786,58 @@ def test_eval_zero_width_database_is_2(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+class TestEvalPublishesWhole:
+    """A second ``eval`` that cannot write its results leaves the first
+    one's ``results.csv`` byte for byte, and no ``.tmp``."""
+
+    @pytest.fixture
+    def rerun(self, tmp_path):
+        rng = np.random.default_rng(3)
+        paths = [str(tmp_path / f"run{r}.db") for r in range(2)]
+        for r, path in enumerate(paths):
+            save_database(path, DescriptorDatabase(
+                rng.normal(size=(30, 4)), np.arange(30) * 10.0, np.zeros(30),
+                np.arange(30) + 100 * r))
+        out = tmp_path / "results.csv"
+        argv = ["eval", "--db", paths[0], "--query", paths[1]]
+        assert run(argv + ["--out", str(out), "--radius", "5"]) == cli.EXIT_OK
+        want = tmp_path / "want.csv"
+        assert run(argv + ["--out", str(want)]) == cli.EXIT_OK
+        assert want.read_bytes() != out.read_bytes()
+        return out, argv + ["--out", str(out)], len(want.read_bytes())
+
+    @staticmethod
+    def assert_kept(out, first):
+        assert out.read_bytes() == first
+        assert not list(out.parent.glob("*.tmp"))
+
+    def test_file_size_limit(self, rerun):
+        pytest.importorskip("resource")
+        out, argv, size = rerun
+        first = out.read_bytes()
+        # the limit stops the write one byte short, with EFBIG, not a signal
+        code = run_python(
+            "import resource, signal; from sparseloc import cli; "
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]; "
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({size - 1}, hard)); "
+            f"print(cli.main({argv!r}))", {})
+        assert code.split()[-1] == str(cli.EXIT_DATA)
+        self.assert_kept(out, first)
+
+    def test_refused_replace(self, rerun, monkeypatch, capsys):
+        out, argv, _ = rerun
+        first = out.read_bytes()
+        capsys.readouterr()
+
+        def refuse(src, dst):
+            raise PermissionError(dst)
+        monkeypatch.setattr(os, "replace", refuse)
+        assert_data_error(argv, capsys)
+        monkeypatch.undo()
+        self.assert_kept(out, first)
+
+
 def assert_data_error(argv, capsys):
     assert run(argv) == cli.EXIT_DATA
     captured = capsys.readouterr()

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from sparseloc import data as data_io
 from sparseloc import (Dataset, PointCloudRecord, build_tuples, load_cloud,
                        load_index, synth_dataset, write_cloud, write_index)
 from sparseloc.errors import DatasetError, EmptyInput, FormatError
@@ -43,6 +44,48 @@ class TestCloudIO:
         path.write_bytes(b"")
         with pytest.raises(EmptyInput):
             load_cloud(str(path))
+
+
+class TestPublish:
+    def test_chunks_land_concatenated_in_order(self, tmp_path):
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        data_io.publish({a: [b"one", b"", b"two"], b: [b"three"]})
+        assert (tmp_path / "a").read_bytes() == b"onetwo"
+        assert (tmp_path / "b").read_bytes() == b"three"
+        assert sorted(os.listdir(tmp_path)) == ["a", "b"]
+
+    def test_replaced_in_the_order_given(self, tmp_path, monkeypatch):
+        calls, replace = [], os.replace
+
+        def recording(src, dst):
+            calls.append((src, dst))
+            replace(src, dst)
+        monkeypatch.setattr(os, "replace", recording)
+        paths = [str(tmp_path / name) for name in ("z", "a", "m")]
+        data_io.publish({path: [b"x"] for path in paths})
+        assert calls == [(f"{path}.tmp", path) for path in paths]
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_directory_target_writes_nothing(self, tmp_path, which):
+        paths = [tmp_path / "a", tmp_path / "b"]
+        paths[which].mkdir()
+        with pytest.raises(IsADirectoryError,
+                           match=re.escape(str(paths[which]))):
+            data_io.publish({str(path): [b"x"] for path in paths})
+        assert os.listdir(tmp_path) == [paths[which].name]
+
+    def test_failed_write_keeps_both_targets(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.write_bytes(b"old a")
+        b.write_bytes(b"old b")
+
+        def failing():
+            yield b"partial"
+            raise OSError(28, "No space left on device")
+        with pytest.raises(OSError, match="No space"):
+            data_io.publish({str(a): [b"new a"], str(b): failing()})
+        assert a.read_bytes() == b"old a" and b.read_bytes() == b"old b"
+        assert sorted(os.listdir(tmp_path)) == ["a", "b"]
 
 
 class TestIndexIO:

@@ -1,5 +1,6 @@
 """GeM pooling and its MAC limit, invariances, backbone, checkpoints."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -773,7 +774,7 @@ class TestCheckpoint:
 
         def refuse(src, dst):
             raise PermissionError(dst)
-        monkeypatch.setattr(model_module.os, "replace", refuse)
+        monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(PermissionError):
             save_checkpoint(path, MinkLoc(ModelConfig(**TINY_CFG), seed=2).state_dict())
         monkeypatch.undo()

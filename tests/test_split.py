@@ -217,6 +217,25 @@ class TestTransposedConvHalves:
         assert_same_bits(*split_and_whole(split_mode, run))
 
 
+@pytest.mark.parametrize("n,splits", [(1, 0), (2, 0), (3, 0), (4, 1), (5, 1)])
+@pytest.mark.parametrize("n_off", [1, 8])
+def test_dense_rows_below_four_run_whole(split_mode, n, splits, n_off):
+    # a cut of fewer than four rows could leave a one-row half, which numpy
+    # hands to gemv: the untaped 1x1 and transposed convs run those whole
+    rng = np.random.default_rng(n)
+    x = SparseTensor(sparse_coords(rng, n, 5) * 2, rng.normal(size=(n, 6)),
+                     stride=2)
+    w = rng.normal(size=(n_off, 6, 7))
+    split_mode.set(True)
+    if n_off == 1:
+        y = sparse_conv(x, Var(w), 1, 1, None).features
+    else:
+        y = sparse_transposed_conv(x, Var(w), 2, 2, None).features
+    assert split_mode.splits() == splits
+    whole = x.features @ w.transpose(1, 0, 2).reshape(6, n_off * 7)
+    assert np.array_equal(y, whole.reshape(-1, 7))
+
+
 class TestGemHalves:
     @pytest.mark.parametrize("taped", [False, True])
     @pytest.mark.parametrize("reuse_map", [False, True])
