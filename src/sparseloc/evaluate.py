@@ -24,7 +24,10 @@ class DescriptorDatabase:
     ``descriptors`` is the database's own read-only C-contiguous float64
     copy, so it cannot change once checked.  ``sq_norms`` (read-only too)
     holds each row's squared norm, computed once here for every search.
-    A 1-D ``descriptors`` is one scalar descriptor per id.
+    ``descriptors32`` holds the same rows in float32 for the screen
+    (``_intervals``), read-only: a loaded payload, a view of an immutable
+    ``bytes``, is adopted as it is; any other input is copied.  A 1-D
+    ``descriptors`` is one scalar descriptor per id.
     """
 
     def __init__(self, descriptors: np.ndarray, northing: np.ndarray,
@@ -58,6 +61,7 @@ class DescriptorDatabase:
                     f"descriptor of id {self.ids[bad[0]]} is NaN or infinite")
         desc.flags.writeable = sq_norms.flags.writeable = False
         self.descriptors, self.sq_norms = desc, sq_norms
+        self.descriptors32 = _float32_rows(descriptors, desc)
 
     def __len__(self):
         return len(self.ids)
@@ -67,10 +71,27 @@ class DescriptorDatabase:
         return self.descriptors.shape[1]
 
 
+def _float32_rows(given, desc: np.ndarray) -> np.ndarray:
+    """``given`` itself when it is a read-only C-contiguous float32 view of
+    a ``bytes`` object, which nothing can write; else a new read-only
+    float32 copy of ``desc`` (entries past float32's range become inf,
+    which ``_intervals`` never screens)."""
+    base = given
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if (isinstance(base, bytes) and given.dtype == np.float32
+            and given.flags.c_contiguous and not given.flags.writeable):
+        return given.reshape(desc.shape)
+    with np.errstate(over="ignore"):
+        rows = desc.astype(np.float32)
+    rows.flags.writeable = False
+    return rows
+
+
 _BLOCK = 128                 # most queries per GEMM screen
-_U = 2.0 ** -53              # unit roundoff of float64
-_ETA = 2.0 ** -1074          # smallest subnormal float64
-_SQUARE_LIMIT = np.finfo(np.float64).max / 8
+_U = 2.0 ** -24              # unit roundoff of float32
+_MU = 2.0 ** -126            # smallest normal float32
+_SQUARE_LIMIT = float(np.finfo(np.float32).max) / 8
 
 
 def _distances(descriptors: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -93,11 +114,11 @@ def knn(db: DescriptorDatabase, query: np.ndarray, k: int):
     """Exact k nearest neighbours by Euclidean distance, ties by lower id.
 
     Returns (ids, distances) in ascending distance order, the first k of
-    ``_ranking``.  Every row gets an interval from ``_intervals``, one GEMV
-    against the database with its stored ``sq_norms``; with U the k-th
-    least upper bound, k rows have e <= U, so every row of the top k or
-    tied with its last has lo <= e <= U.  Only those rows get an exact
-    distance.
+    ``_ranking``.  Every row gets an interval from ``_intervals``, one
+    float32 GEMV against ``descriptors32`` with the stored ``sq_norms``;
+    with U the k-th least upper bound, k rows have e <= U, so every row of
+    the top k or tied with its last has lo <= e <= U.  Only those rows get
+    an exact distance.
     """
     if len(db) == 0:
         raise EmptyInput("empty descriptor database")
@@ -111,7 +132,7 @@ def knn(db: DescriptorDatabase, query: np.ndarray, k: int):
         raise ValueError(f"k must be >= 1, got {k}")
     if k > len(db):
         raise ValueError(f"k={k} exceeds database size {len(db)}")
-    bounds = _intervals(db.descriptors, db.sq_norms, query[None],
+    bounds = _intervals(db.descriptors32, db.sq_norms, query[None],
                         np.array([query @ query]))
     if bounds is None:
         order, d = _ranking(db, query)
@@ -123,48 +144,64 @@ def knn(db: DescriptorDatabase, query: np.ndarray, k: int):
     return db.ids[rows[order]], e[order]
 
 
-def _intervals(descriptors: np.ndarray, sq_db: np.ndarray, desc: np.ndarray,
+def _intervals(rows32: np.ndarray, sq_db: np.ndarray, desc: np.ndarray,
                sq_q: np.ndarray):
-    """(lo, hi), each (queries, rows): an interval around every exact
-    distance e = ``_distances(descriptors, q)``, from one GEMM.  None when
-    the squared norms are NaN, inf or too large to bound.
+    """(lo, hi), each (queries, rows) float32: an interval around every
+    exact distance e = ``_distances(descriptors, q)``, from one float32
+    GEMM of the queries ``desc`` against ``rows32``, the database's
+    ``descriptors32``.  None when the squared norms are NaN, inf or too
+    large to bound.
 
-    For a query q and an entry x of dimension n, D = ||q - x||^2.  The
-    screen is s = fl(fl(||q||^2 + ||x||^2) - 2 q.x); the exact path is
-    e = fl(sqrt(S)), S the computed sum of fl(fl(x_j - q_j)^2).  Let
-    u = 2^-53, eta = 2^-1074 and gamma_k = ku/(1 - ku).  Under gradual
-    underflow a product is off by at most eta/2 absolute, so an n-term dot
-    product in any order obeys |fl(a.b) - a.b| <= gamma_n |a|.|b| + n eta
-    (Higham, Accuracy and Stability of Numerical Algorithms, s3.1), and
-    |q|.|x| <= ||q|| ||x|| (Cauchy-Schwarz).  Three dot products and two
-    more roundings give |s - D| <= gamma_{n+2} (||q|| + ||x||)^2 + 6n eta;
-    three roundings per term and n - 1 additions give
-    |S - D| <= gamma_{n+2} D + n eta.  As
-    D <= (||q|| + ||x||)^2 <= 2(||q||^2 + ||x||^2),
+    For a query q and an entry x of dimension n (their float64 values),
+    D = ||q - x||^2 and T = ||q||^2 + ||x||^2 >= D/2.  The exact path is
+    e = fl(sqrt(S)), S the float64 sum of fl(fl(x_j - q_j)^2), and
+    |S - D| <= 2 gamma'_{n+2} T + n 2^-1074 for float64's u' = 2^-53.  The
+    screen is s = fl(A - 2g), where A = fl(a_q + a_x) sums the float32
+    conversions of the float64 squared norms and g is the GEMM's q.x on
+    float32 conversions of q and x.  Let u = 2^-24, mu = 2^-126 and
+    gamma_k = ku/(1 - ku).  Each float32 operation, conversions included,
+    gives (exact)(1 + delta) + alpha, |delta| <= u, |alpha| <= mu, with
+    gradual underflow and also where subnormal results are flushed to
+    zero; so every operand the GEMM reads, even with subnormal inputs read
+    as zero, is within u|q_j| + mu of q_j (or x_j).  An n-term dot product
+    in any order is off by gamma_n |a|.|b| plus one alpha per operation
+    (Higham, Accuracy and Stability of Numerical Algorithms, s3.1).  With
+    |q|.|x| <= ||q|| ||x|| <= T/2 (Cauchy-Schwarz) and
+    sqrt(n)(||q|| + ||x||) <= n/2 + T,
 
-      |S - s| <= 4 gamma_{n+2} (||q||^2 + ||x||^2) + 7n eta.
+      |g - q.x| <= gamma_{n+2} T/2 + 2 mu T + 3n mu.
 
-    The computed A = fl(||q||^2 + ||x||^2) is at least
-    (1 - gamma_n)(||q||^2 + ||x||^2)/(1 + u) - 2n eta, so for (n + 2)u <=
-    1/100 the band W = fl(5(n + 2)u A + 9n eta) bounds |S - s| even after
-    its own two roundings.  sqrt is correctly rounded, so
-    e = sqrt(S)(1 + delta), and three more roundings each way leave
+    The float64 norms are within T/2^30 + n 2^-1074 of the exact ones (n is
+    below 2^20, as the condition below requires), so
+    |A - T| <= gamma_3 T + 6 mu.  -2g adds at most 2 mu (a flushed
+    subnormal) and s one more rounding, so |s - D| <= gamma_{n+9} T +
+    (6n + 10) mu, and with the exact path's error
+
+      |S - s| <= gamma_{n+10} T + 17n mu.
+
+    As T <= (A + 6 mu)/(1 - gamma_3), for (n + 14)u <= 1/100 the band
+    W = fl(2(n + 10)u A + 32n mu) exceeds |S - s| + 2 mu even after its own
+    two roundings.  So s + W >= S + 2 mu is normal, fl(s + W) >=
+    S(1 - u), and max(fl(s - W), 0) <= S(1 + u).  sqrt is correctly
+    rounded, e = sqrt(S)(1 + delta'), |delta'| <= u', and three more
+    roundings each way leave
 
       lo = sqrt(max(s - W, 0))(1 - 4u)  <=  e  <=  sqrt(s + W)(1 + 4u) = hi.
 
-    The exact sums stay below about 2A, so squared norms that are NaN, inf
-    or sum past max/8, where the exact path could overflow, give None.
+    Every float32 value here stays below about 2.1T, and the exact sums
+    below 2.1T too, so squared norms that are NaN, inf or sum past an
+    eighth of float32's max give None, as does n past the bound above.
     """
-    if not sq_q.max() + sq_db.max() <= _SQUARE_LIMIT:
+    dim = rows32.shape[1]
+    if (dim + 14) * _U > 0.01 or not sq_q.max() + sq_db.max() <= _SQUARE_LIMIT:
         return None
-    dim = descriptors.shape[1]
-    both = sq_q[:, None] + sq_db
-    s = desc @ descriptors.T
+    both = np.add.outer(sq_q.astype(np.float32), sq_db.astype(np.float32))
+    s = desc.astype(np.float32) @ rows32.T
     s *= -2.0
     s += both
     band = both
-    band *= 5 * (dim + 2) * _U
-    band += 9 * dim * _ETA
+    band *= 2 * (dim + 10) * _U
+    band += 32 * dim * _MU
     hi = np.add(s, band)
     np.sqrt(hi, out=hi)
     hi *= 1 + 4 * _U
@@ -199,7 +236,7 @@ def _screen_block(db: DescriptorDatabase, desc: np.ndarray,
     hit = geo <= radius
     del geo, across
     first = np.full(len(desc), len(db))
-    bounds = _intervals(db.descriptors, db.sq_norms, desc,
+    bounds = _intervals(db.descriptors32, db.sq_norms, desc,
                         np.einsum("ij,ij->i", desc, desc))
     if bounds is None:
         for i, q in enumerate(desc):
@@ -360,8 +397,7 @@ def save_database(path: str, db: DescriptorDatabase):
     """Write ``<path>`` and its sidecar in one :func:`publish`, sidecar
     first, so a write that fails leaves a database already at ``path`` as
     it was."""
-    with np.errstate(over="ignore"):
-        payload = np.ascontiguousarray(db.descriptors, dtype="<f4")
+    payload = np.ascontiguousarray(db.descriptors32, dtype="<f4")
     if not np.isfinite(payload).all():
         raise ValueError(f"{path}: a descriptor is not finite in float32")
     rows = zip(db.ids.tolist(), db.northing.tolist(), db.easting.tolist())

@@ -300,12 +300,16 @@ def ranked_first_hits(queries, db):
     return first_hits_under(lambda q: evaluate._ranking(db, q)[0], queries, db)
 
 
-def gemm_first_hits(queries, db):
-    """The same with unbounded GEMM-form distances ||q||^2 + ||x||^2 - 2q.x."""
-    sq_db = np.sum(db.descriptors ** 2, axis=1)
-    return first_hits_under(
-        lambda q: np.lexsort((db.ids, q @ q + sq_db - 2 * (db.descriptors @ q))),
-        queries, db)
+def gemm_first_hits(queries, db, dtype=np.float64):
+    """The same with unbounded GEMM-form distances ||q||^2 + ||x||^2 - 2q.x,
+    computed in ``dtype``."""
+    rows = db.descriptors.astype(dtype)
+    sq_db = np.sum(rows ** 2, axis=1)
+
+    def order(q):
+        q = q.astype(dtype)
+        return np.lexsort((db.ids, q @ q + sq_db - 2 * (rows @ q)))
+    return first_hits_under(order, queries, db)
 
 
 def rescaled(db, transform):
@@ -376,6 +380,41 @@ class TestBlockScreen:
         assert first[3] == first[50] == len(db)
         self.assert_exact(q, db)
 
+    def test_float32_subnormals(self):
+        q, db = SCREEN_FIXTURES["float32_subnormals"]()
+        # float32 subnormals, so the bound must hold whether or not a
+        # kernel flushes them to zero
+        f32 = np.finfo(np.float32)
+        size = np.abs(db.descriptors)
+        assert np.all(size < f32.tiny)
+        assert np.count_nonzero(size > f32.smallest_subnormal) > size.size // 2
+        self.assert_exact(q, db)
+
+    def test_past_float32_limit(self):
+        q, db = SCREEN_FIXTURES["past_float32_limit"]()
+        assert np.isfinite(db.descriptors32).all()
+        assert evaluate._intervals(db.descriptors32, db.sq_norms, q.descriptors,
+                                   q.sq_norms) is None
+        self.assert_exact(q, db)
+
+    def test_float32_round_trip(self):
+        q, db = SCREEN_FIXTURES["float32_round_trip"]()
+        assert np.array_equal(db.descriptors, db.descriptors32)
+        self.assert_exact(q, db)
+
+    def test_near_ties(self):
+        q, db = SCREEN_FIXTURES["near_ties"]()
+        # each twin's squared distance is within the float32 band of its
+        # original's, so the float32 GEMM form alone orders them wrongly
+        half, dim = len(db) // 2, db.dim
+        for desc, sq in zip(q.descriptors, q.sq_norms):
+            d2 = np.sum((db.descriptors - desc) ** 2, axis=1)
+            band = 2 * (dim + 10) * 2.0 ** -24 * (sq + db.sq_norms[:half])
+            assert np.all(np.abs(d2[:half] - d2[half:]) < band)
+        assert not np.array_equal(gemm_first_hits(q, db, np.float32),
+                                  ranked_first_hits(q, db))
+        self.assert_exact(q, db)
+
     def test_few_exact_rows_per_query(self, monkeypatch):
         q, db = clustered_pairing(8, n_places=400)
         rows, distances = [], evaluate._distances
@@ -395,6 +434,29 @@ def scaled_pairing(seed, transform, **kwargs):
     return rescaled(q, transform), rescaled(db, transform)
 
 
+def near_tie_pairing(seed):
+    """clustered_pairing with a twin of each database entry, 1e-6 of noise
+    away and 1 km off the route, so a query's distances to an entry and
+    its twin differ by less than the float32 screen's band."""
+    q, db = clustered_pairing(seed, n_places=100)
+    twin = db.descriptors + 1e-6 * np.random.default_rng(seed).normal(
+        size=db.descriptors.shape)
+    return q, DescriptorDatabase(
+        np.concatenate([db.descriptors, twin]),
+        np.concatenate([db.northing, db.northing + 1000.0]),
+        np.concatenate([db.easting, db.easting]),
+        np.concatenate([db.ids, db.ids + 500]))
+
+
+def round_trip(*runs):
+    """Each run saved and loaded again: float32 values, payload adopted."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{i}.db") for i in range(len(runs))]
+        for path, run in zip(paths, runs):
+            save_database(path, run)
+        return tuple(load_database(path) for path in paths)
+
+
 # TestBlockScreen's fixtures as (query run, database)
 SCREEN_FIXTURES = {
     "clustered": lambda: clustered_pairing(0),
@@ -405,6 +467,13 @@ SCREEN_FIXTURES = {
         3, lambda x: 1e-160 * x, n_places=100),
     "overflowing_squares": lambda: scaled_pairing(
         4, lambda x: 1e160 * x, n_places=100),
+    "float32_subnormals": lambda: scaled_pairing(
+        9, lambda x: 1e-42 * x, n_places=100),
+    "past_float32_limit": lambda: scaled_pairing(
+        10, lambda x: 1e19 * x, n_places=100),
+    "float32_round_trip": lambda: round_trip(
+        *clustered_pairing(11, n_places=100)),
+    "near_ties": lambda: near_tie_pairing(12),
 }
 
 
@@ -453,20 +522,49 @@ class TestStoredNorms:
             db.descriptors[1, 2] = np.nan
         with pytest.raises(ValueError, match="read-only"):
             db.sq_norms[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            db.descriptors32[0, 0] = 0.0
 
     def test_caller_writes_do_not_reach_database(self, rng):
-        descs = rng.normal(size=(50, 8))
-        db = DescriptorDatabase(descs, np.zeros(50), np.zeros(50),
-                                np.arange(50))
-        q = rng.normal(size=8)
-        kept = db.descriptors.copy(), db.sq_norms.copy(), knn(db, q, 5)
-        descs[:] = q
-        descs[7, 3] = np.nan
-        assert np.array_equal(db.descriptors, kept[0])
-        assert np.array_equal(db.sq_norms, kept[1])
-        ids, dists = knn(db, q, 5)
-        assert np.array_equal(ids, kept[2][0])
-        assert np.array_equal(dists, kept[2][1])
+        queries = make_db(rng.normal(size=(10, 8)), rng.uniform(0, 100, 10),
+                          np.arange(100, 110))
+        # float64, float32, and a read-only view of a writeable float32 array
+        for dtype, view in ((np.float64, False), (np.float32, False),
+                            (np.float32, True)):
+            descs = rng.normal(size=(50, 8)).astype(dtype)
+            given = descs.view() if view else descs
+            if view:
+                given.flags.writeable = False
+            db = DescriptorDatabase(given, rng.uniform(0, 100, 50),
+                                    np.zeros(50), np.arange(50))
+            q = rng.normal(size=8)
+            kept = (db.descriptors.copy(), db.descriptors32.copy(),
+                    db.sq_norms.copy(), knn(db, q, 5),
+                    recall_curve(queries, db, 50))
+            descs[:] = q
+            descs[7, 3] = np.nan
+            assert np.array_equal(db.descriptors, kept[0])
+            assert np.array_equal(db.descriptors32, kept[1])
+            assert np.array_equal(db.sq_norms, kept[2])
+            ids, dists = knn(db, q, 5)
+            assert np.array_equal(ids, kept[3][0])
+            assert np.array_equal(dists, kept[3][1])
+            assert np.array_equal(recall_curve(queries, db, 50), kept[4])
+
+    def test_loaded_payload_adopted_read_only(self, tmp_path, rng):
+        path = str(tmp_path / "d.db")
+        save_database(path, make_db(rng.normal(size=(6, 3)), np.zeros(6),
+                                    np.arange(6)))
+        db = load_database(path)
+        rows = db.descriptors32
+        assert rows.dtype == np.float32 and not rows.flags.writeable
+        base = rows
+        while isinstance(base, np.ndarray):
+            base = base.base
+        # a view of the file's bytes, not a second copy
+        assert isinstance(base, bytes) and len(base) == os.path.getsize(path)
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.0
 
     @pytest.mark.parametrize("name", sorted(SCREEN_FIXTURES))
     def test_norms_match_einsum(self, name):
@@ -478,7 +576,8 @@ class TestStoredNorms:
         descs = rng.normal(size=(4, 3))
         q = rng.normal(size=(1, 3))
         sq_db = np.array([1.0, np.nan, 2.0, 3.0])
-        assert evaluate._intervals(descs, sq_db, q, np.array([1.0])) is None
+        assert evaluate._intervals(descs.astype(np.float32), sq_db, q,
+                                   np.array([1.0])) is None
 
     def test_refusal_names_nan_row_after_overflowing_row(self):
         with pytest.raises(DatasetError, match="id 11 is NaN or infinite"):
