@@ -87,9 +87,16 @@ def _split(fn, n: int, work: float):
     ``fn(n // 2, n)`` runs on a pooled worker thread, under the caller's
     numpy error state, while ``fn(0, n // 2)`` runs here; otherwise
     ``fn(0, n)`` runs here.  Either way it returns once all of ``range(n)``
-    is done and raises what a half raised.  A half only calls numpy, which
-    releases the GIL in BLAS calls, ``np.take`` and large ufunc loops, and
-    writes rows that the other half does not touch.
+    is done and raises what a half raised.
+
+    The halves share the GIL, so they gain only where their time goes to
+    calls that release it: BLAS, ``np.take``, sorts, searches and large
+    ufunc loops.  A half may run Python between such calls (the stem half
+    of ``MinkFPN``), but short steps that hold the GIL starve the other.
+    Neither half writes what the other reads or writes, and no half calls
+    ``_split``: the pool has one worker, so a nested submit from the
+    worker's half would wait on itself, and one from the caller's half
+    would queue behind the worker's.
     """
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -211,7 +218,14 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
     directions are one pass over the map's offsets (:func:`_offset_halves`):
     the forward adds ``f[ri] W_k`` into rows ``ro``; the backward is that
     pass on ``g``, adding ``g[ro] W_kᵀ`` into rows ``ri`` and writing
-    ``∂W_k = f[ri]ᵀ g[ro]`` from the same gathered rows.  The bits do not
+    ``∂W_k = f[ri]ᵀ g[ro]`` from the same gathered rows.  With one input
+    channel (the stem) the forward is one GEMM instead, on one thread: an
+    (n_out, K³) matrix holding ``f[ri]`` at row ``ro``, column k, times
+    the weights stacked by offset.  It releases the GIL where the pass
+    would hold it for ~10 short numpy calls per offset.  Against the pass,
+    the stem outputs of 40 4096-point bench clouds moved by at most 3.8e-16
+    of their largest entry.  The backward stays the pass: at a 32-cloud
+    batch a GEMM backward took 9.1 ms against its 1.7.  The bits do not
     depend on the thread count.  Against sums in one buffer, descriptors of
     4096-point clouds moved by at most 8e-16 relative, and a taped step's
     gradients by 1e-14 of their largest entry (the stem's weight 4e-14).
@@ -241,8 +255,14 @@ def sparse_conv(x: SparseTensor, weight: Var, kernel_size: int,
             # rows are unique within one offset: each is stored once
             _scatter_add(dst, ro, np.take(f, ri, axis=0) @ w[k])
 
-    yvar = Var(_offset_halves(terms, len(out_coords), c_out, forward,
-                              c_in * c_out))
+    if c_in == 1:
+        cols = np.zeros((len(out_coords), n_off))
+        k = np.repeat(np.arange(n_off), np.diff(b))
+        cols[kmap.rows_out, k] = f[kmap.rows_in, 0]
+        yvar = Var(cols @ w.reshape(n_off, c_out))
+    else:
+        yvar = Var(_offset_halves(terms, len(out_coords), c_out, forward,
+                                  c_in * c_out))
     if tape is not None:
         gwt, gxv = weight.acc, x.fvar.acc
 

@@ -83,7 +83,8 @@ def offset_key_delta(offset, step: int) -> int:
 class _Geometry:
     """One voxel set: coordinates, stride, packed keys and the caches built
     on them: the sorted index, ``maps[K]`` (the K kernel map onto these
-    coordinates) and ``parents[factor]`` (the downsample by ``factor``).
+    coordinates, see :meth:`own_map`) and ``parents[factor]`` (the
+    downsample by ``factor``).
     Tensors on the same voxels share one instance, so each is built once.
     Keys that come in strictly increasing order are their own sorted index.
     """
@@ -118,6 +119,67 @@ class _Geometry:
             geom = _Geometry(keys, new_stride)
             self.parents[factor] = ((geom.coords, new_stride), geom, kmap)
         return self.parents[factor]
+
+    def sorted_index(self):
+        """(sorted keys, the rows that sort them), built on first use."""
+        if self.sorted is None:
+            order = np.argsort(self.keys, kind="stable")
+            self.sorted = (self.keys[order], order)
+        return self.sorted
+
+    def own_map(self, kernel_size: int) -> KernelMap:
+        """The K kernel map onto these coordinates, searched on first use."""
+        if kernel_size not in self.maps:
+            self.maps[kernel_size] = self.search(self.coords, kernel_size)
+        return self.maps[kernel_size]
+
+    def search(self, out_coords: np.ndarray, kernel_size: int) -> KernelMap:
+        """The K kernel map from these voxels onto ``out_coords``, searched
+        whether or not a cache holds it (see :func:`build_kernel_map`)."""
+        own = out_coords is self.coords
+        mirror = own and kernel_size % 2 == 1
+        out_coords = np.asarray(out_coords, dtype=np.int64).reshape(-1, 4)
+        offsets = kernel_offsets(kernel_size)
+        n_search = len(offsets) // 2 if mirror else len(offsets)
+        ds = self.stride
+        out_keys = self.keys if own else pack_coords(out_coords)
+        skeys, order = self.sorted_index()
+        deltas = np.array([offset_key_delta(off, ds) for off in offsets[:n_search]],
+                          dtype=np.int64)
+        in_c = self.coords
+        hits = None
+        if (in_c[:, 0] == in_c[0, 0]).all() and (out_coords[:, 0] == in_c[0, 0]).all():
+            # one batch item on both sides: try a dense occupancy table so most
+            # candidate (offset, output) pairs resolve with one byte load instead
+            # of a binary search (typical hit rates are only a few percent)
+            ic = in_c[:, 1:] // ds
+            oc = out_coords[:, 1:] // ds
+            off_arr = np.asarray(offsets, dtype=np.int64)
+            pad = np.abs(off_arr).max(axis=0)
+            lo = np.minimum(ic.min(axis=0), oc.min(axis=0)) - pad
+            hi = np.maximum(ic.max(axis=0), oc.max(axis=0)) + pad
+            dims = hi - lo + 1
+            if dims.prod() <= 20_000_000:
+                step = np.array([dims[1] * dims[2], dims[2], 1])
+                occ = np.zeros(int(dims.prod()), dtype=np.bool_)
+                occ[(ic - lo) @ step] = True
+                hits = occ[(off_arr[:n_search] @ step)[:, None] + (oc - lo) @ step]
+        if hits is None:
+            # one joint searchsorted over every (offset, output) candidate
+            q = out_keys + deltas[:, None]
+            pos = np.minimum(np.searchsorted(skeys, q), len(skeys) - 1)
+            hits = skeys[pos] == q
+        k, ro = np.divmod(np.flatnonzero(hits), hits.shape[1])
+        ri = order[np.searchsorted(skeys, out_keys[ro] + deltas[k])]
+        bounds = np.searchsorted(k, np.arange(n_search + 1))
+        if mirror:
+            # offset len - 1 - j is offset j negated: its pairs are j's swapped,
+            # so the searched segments follow the centre in reverse order
+            flip = np.argsort(-k.astype(np.int16), kind="stable")
+            every = np.arange(len(out_coords))
+            ri, ro = np.concatenate([ri, every, ro[flip]]), np.concatenate([ro, every, ri[flip]])
+            bounds = np.concatenate([bounds, 2 * bounds[-1] + len(every) - bounds[::-1]])
+        return KernelMap(offsets, ri, ro, bounds)
 
 
 class SparseTensor:
@@ -185,11 +247,7 @@ class SparseTensor:
         return self._geom.keys
 
     def _sorted_index(self):
-        if self._geom.sorted is None:
-            keys = self.keys()
-            order = np.argsort(keys, kind="stable")
-            self._geom.sorted = (keys[order], order)
-        return self._geom.sorted
+        return self._geom.sorted_index()
 
 
 def quantize(cloud: PointCloud, step: float, batch: int = 0) -> SparseTensor:
@@ -243,67 +301,21 @@ def build_kernel_map(in_tensor: SparseTensor, out_coords: np.ndarray,
 
     A pair (i, o) is emitted under offset d when the input contains
     ``out_coords[o] + d * in_tensor.stride``.  A map onto the input's own
-    coordinate array is cached on its shared geometry.  For the coordinate
-    array of the input's downsample by an even ``factor == kernel_size``,
-    the downsample's map is returned.  Any other call searches and caches
-    nothing.
+    coordinate array is cached on its shared geometry
+    (:meth:`_Geometry.own_map`).  For the coordinate array of the input's
+    downsample by an even ``factor == kernel_size``, the downsample's map
+    is returned.  Any other call searches and caches nothing.
 
     For the input's own coordinate array and odd K the map is symmetric:
     offset -d holds offset d's pairs swapped, so only half is searched.
     """
     geom = in_tensor._geom
-    own = out_coords is geom.coords
-    if own and kernel_size in geom.maps:
-        return geom.maps[kernel_size]
+    if out_coords is geom.coords:
+        return geom.own_map(kernel_size)
     down = geom.parents.get(kernel_size)
     if down is not None and kernel_size % 2 == 0 and out_coords is down[0][0]:
         return down[2]
-    mirror = own and kernel_size % 2 == 1
-    out_coords = np.asarray(out_coords, dtype=np.int64).reshape(-1, 4)
-    offsets = kernel_offsets(kernel_size)
-    n_search = len(offsets) // 2 if mirror else len(offsets)
-    ds = in_tensor.stride
-    out_keys = in_tensor.keys() if own else pack_coords(out_coords)
-    skeys, order = in_tensor._sorted_index()
-    deltas = np.array([offset_key_delta(off, ds) for off in offsets[:n_search]],
-                      dtype=np.int64)
-    in_c = in_tensor.coords
-    hits = None
-    if (in_c[:, 0] == in_c[0, 0]).all() and (out_coords[:, 0] == in_c[0, 0]).all():
-        # one batch item on both sides: try a dense occupancy table so most
-        # candidate (offset, output) pairs resolve with one byte load instead
-        # of a binary search (typical hit rates are only a few percent)
-        ic = in_c[:, 1:] // ds
-        oc = out_coords[:, 1:] // ds
-        off_arr = np.asarray(offsets, dtype=np.int64)
-        pad = np.abs(off_arr).max(axis=0)
-        lo = np.minimum(ic.min(axis=0), oc.min(axis=0)) - pad
-        hi = np.maximum(ic.max(axis=0), oc.max(axis=0)) + pad
-        dims = hi - lo + 1
-        if dims.prod() <= 20_000_000:
-            step = np.array([dims[1] * dims[2], dims[2], 1])
-            occ = np.zeros(int(dims.prod()), dtype=np.bool_)
-            occ[(ic - lo) @ step] = True
-            hits = occ[(off_arr[:n_search] @ step)[:, None] + (oc - lo) @ step]
-    if hits is None:
-        # one joint searchsorted over every (offset, output) candidate
-        q = out_keys + deltas[:, None]
-        pos = np.minimum(np.searchsorted(skeys, q), len(skeys) - 1)
-        hits = skeys[pos] == q
-    k, ro = np.divmod(np.flatnonzero(hits), hits.shape[1])
-    ri = order[np.searchsorted(skeys, out_keys[ro] + deltas[k])]
-    bounds = np.searchsorted(k, np.arange(n_search + 1))
-    if mirror:
-        # offset len - 1 - j is offset j negated: its pairs are j's swapped,
-        # so the searched segments follow the centre in reverse order
-        flip = np.argsort(-k.astype(np.int16), kind="stable")
-        every = np.arange(len(out_coords))
-        ri, ro = np.concatenate([ri, every, ro[flip]]), np.concatenate([ro, every, ri[flip]])
-        bounds = np.concatenate([bounds, 2 * bounds[-1] + len(every) - bounds[::-1]])
-    kmap = KernelMap(offsets, ri, ro, bounds)
-    if own:
-        geom.maps[kernel_size] = kmap
-    return kmap
+    return geom.search(out_coords, kernel_size)
 
 
 def downsample_coords(in_tensor: SparseTensor, factor: int = 2):

@@ -66,13 +66,17 @@ class TestSparseConv:
             got[cx, cy, cz] = row
         assert np.max(np.abs(got - expect)) < 1e-6
 
-    @pytest.mark.parametrize("kernel_size,stride", [(1, 1), (3, 1), (2, 2)])
+    # the ids without c_in name the two-channel cases; one channel takes
+    # the forward's single GEMM
+    @pytest.mark.parametrize("kernel_size,stride,c_in", [
+        pytest.param(1, 1, 2, id="1-1"), pytest.param(3, 1, 2, id="3-1"),
+        pytest.param(2, 2, 2, id="2-2"), (5, 1, 1), (3, 1, 1), (2, 2, 1)])
     def test_gradients_match_dense_oracle_on_full_grid(self, kernel_size,
-                                                       stride):
+                                                       stride, c_in):
         # for <conv(x), g>, the input gradient is the dense conv's adjoint
         # on g and the weight gradient the correlation of x with g
         rng = np.random.default_rng(kernel_size)
-        side, c_in, c_out = 4, 2, 3
+        side, c_out = 4, 3
         x = full_grid_tensor(rng, side, c_in)
         w = Var(rng.normal(size=(kernel_size ** 3, c_in, c_out)))
         tape = Tape()

@@ -14,9 +14,10 @@ import pytest
 
 import sparseloc
 from sparseloc import (MinkLoc, ModelConfig, PointCloud, SparseTensor, Tape,
-                       Var, build_kernel_map, compute_descriptor, gem_pool,
-                       recall_curve, sparse_conv, sparse_transposed_conv)
-from sparseloc import evaluate, layers
+                       Var, batch_tensor, build_kernel_map, compute_descriptor,
+                       gem_pool, recall_curve, sparse_conv,
+                       sparse_transposed_conv)
+from sparseloc import evaluate, layers, sparse
 from conftest import TINY_CFG
 from test_eval import clustered_pairing, ranked_first_hits, rescaled
 
@@ -196,6 +197,100 @@ def test_descriptor_bits_do_not_depend_on_cpus(split_mode, monkeypatch):
     one = compute_descriptor(cloud, model).values
     assert split_mode.splits() == splits
     assert np.array_equal(forced, two) and np.array_equal(two, one)
+
+
+def test_taped_step_bits_do_not_depend_on_cpus(split_mode, monkeypatch):
+    # the pyramid also runs beside a taped stem: a training step's loss and
+    # every parameter gradient are the same bits with every op split, with
+    # the default rule on two CPUs and with it on one
+    model = MinkLoc(ModelConfig(), seed=0)
+    rng = np.random.default_rng(10)
+    clouds = [PointCloud(rng.uniform(-1, 1, (512, 3))) for _ in range(4)]
+    g = rng.normal(size=(len(clouds), model.cfg.descriptor_dim))
+    params = list(model.named_params().values())
+
+    def step():
+        for var in params:
+            var.zero_grad()
+        tape = Tape()
+        st = batch_tensor(clouds, model.cfg.quantization_step)
+        emb, _ = model.embed_tensor(st, tape, train=True)
+        loss = np.sum(emb.value * g)
+        tape.backward(emb, g)
+        return [loss] + [var.grad.copy() for var in params]
+
+    split_mode.set(True)
+    forced = step()
+    monkeypatch.setattr(layers, "_SPLIT_WORK", SPLIT_WORK)
+    splits = split_mode.splits()
+    two = step()
+    assert split_mode.splits() > splits
+    splits = split_mode.splits()
+    monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: {0})
+    one = step()
+    assert split_mode.splits() == splits
+    assert_same_bits(forced, two)
+    assert_same_bits(two, one)
+
+
+def test_pyramid_changes_no_map(split_mode, monkeypatch):
+    # split, the worker builds each level's voxels and maps while the stem
+    # runs here: the maps equal those built inline, each is searched once,
+    # the convs' lookups return them, and the entry points that a tracer
+    # patches run on the calling thread only
+    caller = threading.current_thread()
+    entered, searches, looked_up = [], [], []
+
+    def on_entry(fn):
+        def wrapped(*args, **kwargs):
+            entered.append(threading.current_thread())
+            out = fn(*args, **kwargs)
+            if isinstance(out, sparse.KernelMap):
+                looked_up.append(out)
+            return out
+        return wrapped
+
+    for mod in (layers, sparse):
+        for name in ("build_kernel_map", "downsample_coords"):
+            monkeypatch.setattr(mod, name, on_entry(getattr(mod, name)))
+    search = sparse._Geometry.search
+
+    def counted(geom, out_coords, kernel_size):
+        searches.append((kernel_size, geom.stride, threading.current_thread()))
+        return search(geom, out_coords, kernel_size)
+
+    monkeypatch.setattr(sparse._Geometry, "search", counted)
+    model = MinkLoc(ModelConfig(**TINY_CFG), seed=0)
+    rng = np.random.default_rng(9)
+    clouds = [PointCloud(rng.uniform(-0.9, 0.9, (300, 3))) for _ in range(2)]
+    on_worker = []
+
+    def run():
+        del entered[:], searches[:], looked_up[:]
+        st = batch_tensor(clouds, model.cfg.quantization_step)
+        model.backbone(st)
+        maps, geom = [st._geom.maps[5]], st._geom
+        for _ in range(3):
+            _, geom, down = geom.parents[2]
+            maps += [down, geom.maps[3]]
+        assert sorted(k[:2] for k in searches) == [(3, 2), (3, 4), (3, 8),
+                                                   (5, 1)]
+        # the stem's, three strided convs' and six 3x3x3 convs' lookups
+        assert len(looked_up) == 10
+        assert all(any(m is kmap for kmap in maps) for m in looked_up)
+        assert all(thread is caller for thread in entered)
+        on_worker.append(sorted(k[:2] for k in searches if k[2] is not caller))
+        return [a for kmap in maps for a in (kmap.rows_in, kmap.rows_out,
+                                             kmap.bounds)]
+
+    # a short switch interval makes the two threads interleave finely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert_same_bits(*split_and_whole(split_mode, run))
+    finally:
+        sys.setswitchinterval(interval)
+    assert on_worker == [[], [(3, 2), (3, 4), (3, 8)]]
 
 
 class TestTransposedConvHalves:
