@@ -79,15 +79,17 @@ def _blas_threads(count: int | None = None) -> int | None:
     return None
 
 
-def _split(fn, n: int, work: float):
-    """Call ``fn(lo, hi)`` so that it covers ``range(n)`` once.
+def _split(fn, n: int, work: float) -> list:
+    """Call ``fn(lo, hi)`` so that it covers ``range(n)`` once, and return
+    what each call returned, in range order.
 
     With two CPUs in this process's affinity (the machine's off Linux) and
     ``work`` multiply-adds per unit of at least ``_SPLIT_WORK``,
     ``fn(n // 2, n)`` runs on a pooled worker thread, under the caller's
-    numpy error state, while ``fn(0, n // 2)`` runs here; otherwise
-    ``fn(0, n)`` runs here.  Either way it returns once all of ``range(n)``
-    is done and raises what a half raised.
+    numpy error state, while ``fn(0, n // 2)`` runs here, and the result is
+    ``[fn(0, n // 2), fn(n // 2, n)]``; otherwise it is ``[fn(0, n)]``, run
+    here.  Either way it returns once all of ``range(n)`` is done and
+    raises what a half raised.
 
     The halves share the GIL, so they gain only where their time goes to
     calls that release it: BLAS, ``np.take``, sorts, searches and large
@@ -101,8 +103,7 @@ def _split(fn, n: int, work: float):
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     if n < 2 or work < _SPLIT_WORK or cpus < 2:
-        fn(0, n)
-        return
+        return [fn(0, n)]
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -113,23 +114,25 @@ def _split(fn, n: int, work: float):
         second = _pool.submit(_under_errstate, np.geterr(), np.geterrcall(),
                               fn, n // 2, n)
     try:
-        fn(0, n // 2)
+        first = fn(0, n // 2)
     finally:
         # the worker writes into the caller's arrays: wait for it even when
         # this half raised, whose error then wins over the worker's
         second.exception()
-    second.result()
+    return [first, second.result()]
 
 
 def _under_errstate(err: dict, call, fn, lo: int, hi: int):
     # numpy's error state is per thread: the worker takes the caller's
     with np.errstate(call=call, **err):
-        fn(lo, hi)
+        return fn(lo, hi)
 
 
-def _both(first, second, work: float):
-    """Run the two calls ``first()`` and ``second()`` as :func:`_split`."""
-    _split(lambda lo, hi: [job() for job in (first, second)[lo:hi]], 2, work)
+def _both(first, second, work: float) -> list:
+    """``[first(), second()]``, the two calls run as :func:`_split`'s
+    halves."""
+    return sum(_split(lambda lo, hi: [job() for job in (first, second)[lo:hi]],
+                      2, work), [])
 
 
 def _scatter_add(dst: np.ndarray, rows: np.ndarray, src: np.ndarray):
@@ -189,9 +192,7 @@ def _dense_rows(x: SparseTensor, weight: Var, tape: Tape | None) -> Var:
 
         def backward(g):
             g = g.reshape(len(f), n_off * c_out)
-            gx, gw = np.empty_like(f), np.empty((c_in, n_off * c_out))
-            _both(lambda: np.matmul(g, wbig.T, out=gx),
-                  lambda: np.matmul(f.T, g, out=gw), work)
+            gx, gw = _both(lambda: g @ wbig.T, lambda: f.T @ g, work)
             gxv.add(gx)
             gwt.add(gw.reshape(c_in, n_off, c_out).transpose(1, 0, 2))
 

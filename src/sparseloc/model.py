@@ -91,14 +91,19 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
     time while it is in cache: clamp once into a block-sized scratch r,
     the ratio's power as exp(p log(r / max)), and column sums as
     ``ones @ block``.  Every p, integer or not, with or without a tape,
-    takes this one path, and without a tape nothing of the map's size is
-    allocated.  With a tape each block's power goes into a map-sized
-    backward buffer; the forward also sums power * p log(ratio) for dy/dp,
-    then turns the block into power / r [r > eps] while it is in cache.
-    The backward only scales each item's rows of that buffer into the
-    input gradient, so it never reads the map.  max is 1 where the direct
-    power cannot overflow, else each item's per-channel max, so the
+    takes this one path.  With a tape each block's power goes into a
+    map-sized backward buffer; the forward also sums power * p log(ratio)
+    for dy/dp, then turns the block into power / r [r > eps] while it is in
+    cache.  The backward only scales each item's rows of that buffer into
+    the input gradient, so it never reads the map.  max is 1 where the
+    direct power cannot overflow, else each item's per-channel max, so the
     ratios stay in (0, 1].
+
+    Rows out of item order are pooled from one item-ordered copy of the
+    map, which a tape takes as its backward buffer.  The model never makes
+    such rows: ``batch_tensor``, the downsamples and the transposed conv
+    keep batch-major key order.  Rows in item order allocate nothing of the
+    map's size without a tape.
 
     Large maps run their blocks as two halves on two threads (see
     ``layers._split``).  Each block's column sums go into a row of their
@@ -106,46 +111,36 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
     result does not depend on the split.
 
     ``reuse_map=True`` hands the map's features over: with a tape and rows
-    already in item order (as ``batch_tensor`` gives them), the buffer is
-    the features array itself, which then holds power / r [r > eps] and,
-    after the backward, the map's gradient.  Otherwise the features stay
-    unchanged.
+    already in item order, the buffer is the features array itself, which
+    then holds power / r [r > eps] and, after the backward, the map's
+    gradient.  Otherwise the features stay unchanged.
     """
     f = fmap.features
     if len(f) == 0:
         raise EmptyInput("cannot pool an empty feature map")
     p = float(p_var.value)
     order, ids, bounds = _batch_slices(fmap.coords)
+    if order is not None:
+        f = f[order]
     sizes = np.array([e - s for s, e in bounds], dtype=float)[:, None]
-
-    def rows(i, j):
-        """Rows i:j of f in item order."""
-        return f[i:j] if order is None else f[order[i:j]]
-
-    def blocks(s, e):
-        return [(i, min(i + _GEM_BLOCK, e)) for i in range(s, e, _GEM_BLOCK)]
-
     # a block's work in GEMM multiply-adds: in a training epoch GeM took
     # 7.3 ns per element and the convs' GEMMs 0.14 ns per multiply-add
     work = min(_GEM_BLOCK, len(f)) * f.shape[1] * 50
-    peaks = np.full(2, -np.inf)   # a max is exact in any split
-
-    def peak(lo, hi):
-        peaks[int(lo > 0)] = f[lo:hi].max()
-
-    _split(peak, len(f), work)
+    # a max is exact in any split
+    peak = np.max(_split(lambda lo, hi: f[lo:hi].max(), len(f), work))
     # skip the ratio normalization when the direct power cannot overflow
-    direct = p * np.log(max(float(peaks.max()), 1.0)) < 300.0
+    direct = p * np.log(max(float(peak), 1.0)) < 300.0
     powers = None
     if tape is not None:
-        powers = f if reuse_map and order is None else np.empty_like(f)
+        # f is already a private copy when the rows were reordered
+        powers = f if reuse_map or order is not None else np.empty_like(f)
     maxes = np.ones((len(ids), f.shape[1]))
     if not direct:
         for b, (s, e) in enumerate(bounds):
-            maxes[b] = np.maximum(rows(s, e).max(axis=0), _GEM_EPS)
-    todo = [(b, i, j) for b, (s, e) in enumerate(bounds) for i, j in blocks(s, e)]
-    # each block's column sums of power (and of power * p log(ratio)), added
-    # into its item's row in block order once every block is done
+            maxes[b] = np.maximum(f[s:e].max(axis=0), _GEM_EPS)
+    todo = [(b, i, min(i + _GEM_BLOCK, e)) for b, (s, e) in enumerate(bounds)
+            for i in range(s, e, _GEM_BLOCK)]
+    # each block's column sums of power (and of power * p log(ratio))
     sums = np.empty((len(todo), 1 if powers is None else 2, f.shape[1]))
 
     def pool_blocks(lo, hi):
@@ -156,7 +151,7 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
             b, i, j = todo[t]
             rb, lg = r[:j - i], scratch[:j - i]
             # powers[i:j] may be these very rows: nothing reads them after
-            np.maximum(rows(i, j), _GEM_EPS, out=rb)
+            np.maximum(f[i:j], _GEM_EPS, out=rb)
             np.log(rb if direct else np.divide(rb, maxes[b], out=lg), out=lg)
             lg *= p
             pb = lg if powers is None else powers[i:j]
@@ -170,13 +165,11 @@ def gem_pool(fmap: SparseTensor, p_var: Var, tape: Tape | None = None,
                 pb *= rb > _GEM_EPS
 
     _split(pool_blocks, len(todo), work)
-    means = np.zeros_like(maxes)
-    plogs = np.zeros_like(maxes)   # sum_j power * p log(ratio), with a tape
-    for t, (b, _, _) in enumerate(todo):
-        means[b] += sums[t, 0]
-        if powers is not None:
-            plogs[b] += sums[t, 1]
-    means /= sizes
+    # added into the items' rows in block order, as one loop would
+    totals = np.zeros((len(ids),) + sums.shape[1:])
+    np.add.at(totals, [b for b, _, _ in todo], sums)
+    means = totals[:, 0] / sizes
+    plogs = totals[:, -1]   # sum_j power * p log(ratio), with a tape
     out = maxes * means ** (1.0 / p)
     yvar = Var(out)
     if tape is not None:
@@ -206,9 +199,9 @@ def mac_pool(fmap: SparseTensor):
     if len(f) == 0:
         raise EmptyInput("cannot pool an empty feature map")
     order, ids, bounds = _batch_slices(fmap.coords)
-    rows = np.arange(len(f)) if order is None else order
-    argmax = [rows[s:e][np.argmax(f[rows[s:e]], axis=0)] for s, e in bounds]
-    return Var(np.stack([f[am, np.arange(f.shape[1])] for am in argmax])), ids
+    if order is not None:
+        f = f[order]
+    return Var(np.stack([f[s:e].max(axis=0) for s, e in bounds])), ids
 
 
 class _ConvBlock:
@@ -308,12 +301,11 @@ class MinkFPN:
                  train: bool = False) -> SparseTensor:
         if x.channels != 1:
             raise ShapeError("backbone expects a single-channel input tensor")
-        stem = []
         # the worker builds the pyramid while the stem runs here
-        _both(lambda: stem.append(relu(self.conv0_bn(self.conv0(x, tape),
-                                                     tape, train), tape)),
-              lambda: _pyramid(x._geom), x.n * _PYRAMID_WORK)
-        x1 = self.block1(stem[0], tape, train)   # stride 2
+        x0, _ = _both(lambda: relu(self.conv0_bn(self.conv0(x, tape), tape,
+                                                 train), tape),
+                      lambda: _pyramid(x._geom), x.n * _PYRAMID_WORK)
+        x1 = self.block1(x0, tape, train)     # stride 2
         x2 = self.block2(x1, tape, train)     # stride 4
         x3 = self.block3(x2, tape, train)     # stride 8
         # the 1x1 lateral and the transposed conv are adjacent linear maps,

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .autodiff import Tape, Var
+from .data import publish
 from .errors import DatasetError, NumericError, ShapeError
 from .model import Descriptor, MinkLoc, batch_tensor, save_checkpoint
 from .sparse import PointCloud
@@ -308,9 +310,11 @@ def train(dataset, model: MinkLoc, cfg: TrainingConfig,
     """Full training loop.
 
     dataset must expose ``tuples`` (id -> TrainingTuple) and
-    ``load_points(id) -> (n, 3) ndarray``.  Writes an atomic checkpoint and a
-    metrics line per epoch when ``out_dir`` is given.  ``stop_loss`` ends
-    training early once the epoch mean loss drops below it.  A ``cfg`` that
+    ``load_points(id) -> (n, 3) ndarray``.  When ``out_dir`` is given, each
+    epoch publishes its checkpoint and then ``metrics.csv`` whole, the
+    header and a line per epoch so far, so a failed rerun leaves the last
+    run's files as they were.  ``stop_loss`` ends training early once the
+    epoch mean loss drops below it.  A ``cfg`` that
     ``TrainingConfig.validate`` refuses raises ValueError before any write.
     """
     cfg.validate()
@@ -320,13 +324,11 @@ def train(dataset, model: MinkLoc, cfg: TrainingConfig,
     opt = Adam(params, weight_decay=cfg.weight_decay)
     history: list[EpochStats] = []
     batch_size = cfg.initial_batch
-    metrics_path = os.path.join(out_dir, "metrics.csv") if out_dir else None
-    if metrics_path:
-        # a rerun into the same directory starts the file over
+    metrics = io.StringIO()
+    metrics_row = csv.writer(metrics).writerow
+    metrics_row(["epoch", "batch_size", "mean_loss", "active_ratio", "lr"])
+    if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        with open(metrics_path, "w", newline="") as fh:
-            csv.writer(fh).writerow(
-                ["epoch", "batch_size", "mean_loss", "active_ratio", "lr"])
     for epoch in range(cfg.epochs):
         lr = lr_for_epoch(cfg, epoch)
         batches = partition_epoch(dataset.tuples, batch_size, rng)
@@ -358,14 +360,13 @@ def train(dataset, model: MinkLoc, cfg: TrainingConfig,
         if log:
             log(f"epoch {epoch}: batch={batch_size} loss={mean_loss:.4f} "
                 f"active={active_ratio:.2f} lr={lr:g}")
-        if metrics_path:
-            with open(metrics_path, "a", newline="") as fh:
-                csv.writer(fh).writerow(
-                    [epoch, batch_size, f"{mean_loss:.6f}",
-                     f"{active_ratio:.4f}", f"{lr:g}"])
         if out_dir:
+            metrics_row([epoch, batch_size, f"{mean_loss:.6f}",
+                         f"{active_ratio:.4f}", f"{lr:g}"])
             save_checkpoint(os.path.join(out_dir, f"epoch_{epoch + 1}.ckpt"),
                             model.state_dict())
+            publish({os.path.join(out_dir, "metrics.csv"):
+                     [metrics.getvalue().encode()]})
         if stop_loss is not None and mean_loss < stop_loss:
             break
         batch_size = dynamic_batch_expand(active_ratio, batch_size, cfg)

@@ -413,6 +413,18 @@ class TestBackbone:
         fmap = tiny_model.backbone(st)
         assert fmap.stride == 4 and fmap.n >= 1
 
+    @pytest.mark.parametrize("n_clouds", [1, 32])
+    def test_output_rows_in_item_order(self, tiny_model, n_clouds):
+        # batch ids sit in the top key bits, and every downsample and the
+        # transposed conv keep key order: GeM never copies the map to order it
+        rng = np.random.default_rng(n_clouds)
+        clouds = [PointCloud(rng.uniform(-1, 1, size=(200, 3)))
+                  for _ in range(n_clouds)]
+        fmap = tiny_model.backbone(
+            batch_tensor(clouds, tiny_model.cfg.quantization_step))
+        order, ids, _ = model_module._batch_slices(fmap.coords)
+        assert order is None and ids == list(range(n_clouds))
+
     def test_output_coords_are_lateral_union(self, tiny_model):
         # fused coordinate set = stride-4 set union the tconv-scattered set
         rng = np.random.default_rng(2)

@@ -216,6 +216,29 @@ class TestMirroredKernelMap:
         assert pair_set(mirrored) == pair_set(full)
         assert mirrored.pair_count() == full.pair_count()
 
+    @pytest.mark.parametrize("kernel_size", [3, 5])
+    def test_one_item_past_the_dense_table_cap(self, kernel_size):
+        # two clusters 300 voxels apart on every axis: one item's dense
+        # table would pass its 20 M cells, so it takes the joint searchsorted
+        rng = np.random.default_rng(kernel_size)
+        xyz = np.unique(np.concatenate([rng.integers(0, 6, size=(120, 3)),
+                                        rng.integers(300, 306, size=(120, 3))]),
+                        axis=0)
+        assert np.prod(np.ptp(xyz, axis=0) + 1) > 20_000_000
+        coords = np.column_stack([np.zeros(len(xyz), dtype=int), xyz])
+        x = make_tensor(coords[rng.permutation(len(coords))])
+        rows = {tuple(c): i for i, c in enumerate(x.coords.tolist())}
+        brute = {(off, rows[cand], o)
+                 for o, (b, *c) in enumerate(x.coords.tolist())
+                 for off in kernel_offsets(kernel_size)
+                 if (cand := (b, c[0] + off[0], c[1] + off[1], c[2] + off[2]))
+                 in rows}
+        mirrored = build_kernel_map(x, x.coords, kernel_size)
+        full = build_kernel_map(x, x.coords.copy(), kernel_size)
+        assert len(brute) > 2 * len(coords)
+        assert pair_set(mirrored) == brute == pair_set(full)
+        assert mirrored.pair_count() == full.pair_count() == len(brute)
+
     # sparse_conv's ``out[rows_out] +=`` per offset needs unique rows there
     @pytest.mark.parametrize("batches", [1, 3])
     @pytest.mark.parametrize("mirrored", [True, False])

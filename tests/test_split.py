@@ -476,6 +476,26 @@ class TestPool:
         layers._split(lambda lo, hi: done.append((lo, hi)), 10, 1.0)
         assert sorted(done[1:]) == [(0, 5), (5, 10)]
 
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_results_in_range_order(self, split_mode, split, n):
+        # the caller's half sleeps, so the worker's finishes first
+        split_mode.set(split)
+
+        def fn(lo, hi):
+            if lo == 0 and hi < n:
+                time.sleep(0.05)
+            return lo, hi
+
+        halves = split and n >= 2
+        want = [(0, n // 2), (n // 2, n)] if halves else [(0, n)]
+        assert layers._split(fn, n, 1.0) == want
+        assert split_mode.splits() == int(halves)
+        got = layers._both(lambda: time.sleep(0.05) or "first",
+                           lambda: "second", 1.0)
+        assert got == ["first", "second"]
+        assert split_mode.splits() == int(halves) + int(split)
+
     def test_caller_error_waits_for_worker(self, split_mode):
         split_mode.set(True)
         done = []

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from sparseloc import (Adam, AugmentConfig, Dataset, MinkLoc, ModelConfig,
                        train, triplet_margin_loss)
 from sparseloc.autodiff import Tape
 from sparseloc.data import TrainingTuple
-from sparseloc.errors import NumericError, ShapeError
+from sparseloc.errors import FormatError, NumericError, ShapeError
 from sparseloc.model import checkpoint_config
 from sparseloc.train import lr_for_epoch, pairwise_distances
 from conftest import TINY_CFG
@@ -448,6 +449,27 @@ class TestTrainLoop:
         with open(os.path.join(out, "metrics.csv")) as fh:
             lines = fh.read().strip().splitlines()
         assert len(lines) == 1 + cfg.epochs
+
+    def test_failed_rerun_keeps_metrics(self, synth_root, tmp_path):
+        # a rerun whose first epoch fails leaves the last run's metrics.csv
+        # beside its checkpoints, not a header-only file
+        root = str(tmp_path / "data")
+        shutil.copytree(synth_root, root)
+        out = str(tmp_path / "run")
+        ds, model, cfg = self._setup(root)
+        train(ds, model, cfg, seed=0, out_dir=out)
+        with open(os.path.join(out, "metrics.csv"), "rb") as fh:
+            before = fh.read()
+        # train draws its first partition from default_rng(seed)
+        first = partition_epoch(ds.tuples, cfg.initial_batch,
+                                np.random.default_rng(0))[0][0]
+        os.truncate(os.path.join(root, ds.records[first].path), 23)
+        ds, model, cfg = self._setup(root)
+        with pytest.raises(FormatError):
+            train(ds, model, cfg, seed=0, out_dir=out)
+        with open(os.path.join(out, "metrics.csv"), "rb") as fh:
+            assert fh.read() == before
+        assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
 
     def test_odd_limit_is_not_overshot(self, synth_root, monkeypatch):
         # growth forced every epoch: 4 grows to the odd limit 5, which must
